@@ -217,19 +217,16 @@ runDistributed(const std::vector<exp::ExperimentSpec> &specs,
                     continue;
                 }
 
-                std::string governor, error;
-                double hostSeconds = 0.0;
-                if (queue.failedResult(key, governor, error,
-                                       hostSeconds)) {
+                exp::RunResult failed;
+                if (queue.failedResult(key, failed)) {
                     for (const std::size_t i : indices) {
+                        // Presentation fields belong to each spec,
+                        // as on a cache hit.
                         exp::RunResult &res = out.results[i];
+                        res = failed;
                         res.id = specs[i].id;
-                        res.governor = governor;
                         res.workload = specs[i].workload.name();
                         res.labels = specs[i].labels;
-                        res.ok = false;
-                        res.error = error;
-                        res.hostSeconds = hostSeconds;
                         ++out.failedCells;
                         resolved[i] = 1;
                     }

@@ -5,14 +5,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "exp/report.hh"
+#include "exp/cache.hh"
 #include "exp/spec_codec.hh"
 #include "sim/snapshot.hh"
 
@@ -24,15 +22,14 @@ namespace dist {
 namespace {
 
 constexpr std::size_t kKeyLen = 16; //!< specKey() hex digits.
-constexpr const char *kFailureHeader = "sysscale-dist-failure v1";
 
-/**
- * Header of a pending slice entry. The framing (base key, slicing
- * period, slice index) precedes the cell's own serialized spec; the
- * spec codec's version guard covers the payload, this header the
- * frame — bump it if the frame's shape changes.
- */
-constexpr const char *kSliceHeader = "sysscale-slice v1";
+/** Values of the `record` key, one per queue record kind. */
+constexpr const char *kEntryRecord = "queue-entry";
+constexpr const char *kFailureRecord = "failure";
+constexpr const char *kMetricsRecord = "worker-metrics";
+
+/** File name suffix of a worker's metrics record. */
+constexpr const char *kMetricsSuffix = ".rec";
 
 bool
 isHexKey(const std::string &s)
@@ -58,81 +55,70 @@ splitClaimName(const std::string &name, std::string &key,
     return isHexKey(key) && !worker.empty();
 }
 
-/** Decoded frame of a pending slice entry (see enqueueSlice). */
-struct SliceFrame
+/**
+ * The record of a pending queue entry: the cell's serialized spec
+ * under its content key, plus — for one slice of a checkpoint chain
+ * (@p step nonzero) — the slicing period and slice index.
+ */
+std::string
+encodeEntry(const exp::ExperimentSpec &spec, const std::string &baseKey,
+            Tick step, std::uint64_t index)
 {
+    SnapshotWriter w(baseKey, 0);
+    w.putString("record", kEntryRecord);
+    w.putString("cell", exp::serializeSpec(spec));
+    if (step != 0) {
+        w.putU64("step", step);
+        w.putU64("index", index);
+    }
+    return w.str();
+}
+
+/** File key of a queue entry: the cell's key, or its slice's. */
+std::string
+entryKey(const std::string &baseKey, Tick step, std::uint64_t index)
+{
+    return step == 0 ? baseKey
+                     : WorkQueue::sliceKeyFor(baseKey, step, index);
+}
+
+/** A decoded queue entry (see encodeEntry). */
+struct Entry
+{
+    exp::ExperimentSpec spec;
     std::string baseKey;
-    Tick step = 0;
+    Tick step = 0; //!< Zero for a whole cell.
     std::uint64_t index = 0;
-    std::string specText;
 };
 
-/** Build the pending-file document of one slice entry. */
-std::string
-formatSliceFrame(const std::string &baseKey, Tick step,
-                 std::uint64_t index, const std::string &specText)
+/**
+ * Inverse of encodeEntry. Throws (SnapshotError or the spec codec's
+ * errors) on any record that does not decode into a consistent
+ * entry: a spec whose content key differs from the header's, a zero
+ * slicing period, or a slice index past the end of its chain.
+ */
+Entry
+decodeEntry(const std::string &text)
 {
-    std::string doc = std::string(kSliceHeader) + "\n";
-    doc += "base = " + baseKey + "\n";
-    doc += "step = " + std::to_string(step) + "\n";
-    doc += "index = " + std::to_string(index) + "\n";
-    doc += "---\n";
-    doc += specText;
-    return doc;
-}
-
-/** Inverse of formatSliceFrame; false (with reason) on garbage. */
-bool
-parseSliceFrame(const std::string &text, SliceFrame &out,
-                std::string &reason)
-{
-    std::istringstream is(text);
-    std::string line;
-    if (!std::getline(is, line) || line != kSliceHeader) {
-        reason = "bad slice header";
-        return false;
+    SnapshotReader r(text);
+    if (r.getString("record") != kEntryRecord)
+        throw SnapshotError("not a queue entry");
+    Entry e;
+    e.baseKey = r.specKey();
+    e.spec = exp::parseSpec(r.getString("cell"));
+    if (r.has("step")) {
+        e.step = r.getU64("step");
+        e.index = r.getU64("index");
+        if (e.step == 0)
+            throw SnapshotError("zero slice step");
     }
-    if (!std::getline(is, line) || line.rfind("base = ", 0) != 0 ||
-        !isHexKey(line.substr(7))) {
-        reason = "bad slice base key";
-        return false;
-    }
-    out.baseKey = line.substr(7);
-    if (!std::getline(is, line) || line.rfind("step = ", 0) != 0) {
-        reason = "bad slice step";
-        return false;
-    }
-    out.step = std::strtoull(line.c_str() + 7, nullptr, 10);
-    if (!std::getline(is, line) || line.rfind("index = ", 0) != 0) {
-        reason = "bad slice index";
-        return false;
-    }
-    out.index = std::strtoull(line.c_str() + 8, nullptr, 10);
-    if (!std::getline(is, line) || line != "---") {
-        reason = "bad slice separator";
-        return false;
-    }
-    std::ostringstream rest;
-    rest << is.rdbuf();
-    out.specText = rest.str();
-    if (out.step == 0) {
-        reason = "zero slice step";
-        return false;
-    }
-    return true;
-}
-
-/** Whole-file read; false when the file cannot be opened. */
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    out = buf.str();
-    return true;
+    r.finish();
+    if (exp::specKey(e.spec) != e.baseKey)
+        throw SnapshotError("content key mismatch");
+    if (e.step != 0 &&
+        e.index >= WorkQueue::sliceCount(e.spec, e.step))
+        throw SnapshotError("slice index past the chain");
+    return e;
 }
 
 /** @p ref minus @p path's mtime, in (possibly negative) seconds. */
@@ -198,7 +184,7 @@ WorkQueue::failedPath(const std::string &key) const
 std::string
 WorkQueue::metricsPath(const std::string &workerId) const
 {
-    return dir_ + "/metrics/" + workerId + ".json";
+    return dir_ + "/metrics/" + workerId + kMetricsSuffix;
 }
 
 void
@@ -229,20 +215,44 @@ WorkQueue::quarantine(const std::string &path,
     return true;
 }
 
-std::string
-WorkQueue::enqueue(const exp::ExperimentSpec &spec)
+bool
+WorkQueue::stage(const std::string &path, const std::string &text)
 {
-    if (!queueable(spec)) {
-        throw std::invalid_argument(
-            "WorkQueue: cell \"" + spec.id +
-            "\" carries runtime hooks and cannot be serialized");
+    const std::string tmp =
+        dir_ + "/tmp/" + fs::path(path).filename().string() + "." +
+        std::to_string(::getpid()) + "." + std::to_string(tmpSerial_++);
+    std::error_code ec;
+    {
+        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+        os << text;
+        os.close();
+        if (!os) {
+            fs::remove(tmp, ec);
+            return false;
+        }
     }
-    const std::string text = exp::serializeSpec(spec);
-    const std::string key = exp::specKey(spec);
+    fs::rename(tmp, path, ec);
+    if (ec) {
+        fs::remove(tmp, ec);
+        return false;
+    }
+    return true;
+}
 
+std::string
+WorkQueue::enqueueEntry(const exp::ExperimentSpec &spec,
+                        const std::string &baseKey, Tick step,
+                        std::uint64_t index)
+{
+    const std::string key = entryKey(baseKey, step, index);
+
+    // The entry already pending or claimed — or its cell already
+    // failed — is a skip. That idempotence is what makes the
+    // crash-recovery "enqueue successor, then release" order safe to
+    // replay.
     std::error_code ec;
     bool present = fs::exists(pendingPath(key), ec) ||
-                   fs::exists(failedPath(key), ec);
+                   fs::exists(failedPath(baseKey), ec);
     if (!present) {
         for (const auto &entry : fs::directory_iterator(
                  fs::path(dir_) / "claimed", ec)) {
@@ -257,32 +267,24 @@ WorkQueue::enqueue(const exp::ExperimentSpec &spec)
         ++counters_.skipped;
         return key;
     }
-
-    const std::string tmp = dir_ + "/tmp/" + key + "." +
-                            std::to_string(::getpid()) + "." +
-                            std::to_string(tmpSerial_++);
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            throw std::runtime_error("WorkQueue: cannot write \"" +
-                                     tmp + "\"");
-        }
-        os << text;
-        if (!os.flush()) {
-            os.close();
-            fs::remove(tmp, ec);
-            throw std::runtime_error("WorkQueue: cannot write \"" +
-                                     tmp + "\"");
-        }
-    }
-    fs::rename(tmp, pendingPath(key), ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        throw std::runtime_error("WorkQueue: cannot enqueue \"" +
-                                 key + "\"");
+    if (!stage(pendingPath(key),
+               encodeEntry(spec, baseKey, step, index))) {
+        throw std::runtime_error("WorkQueue: cannot enqueue \"" + key +
+                                 "\"");
     }
     ++counters_.enqueued;
     return key;
+}
+
+std::string
+WorkQueue::enqueue(const exp::ExperimentSpec &spec)
+{
+    if (!queueable(spec)) {
+        throw std::invalid_argument(
+            "WorkQueue: cell \"" + spec.id +
+            "\" carries runtime hooks and cannot be serialized");
+    }
+    return enqueueEntry(spec, exp::specKey(spec), 0, 0);
 }
 
 std::string
@@ -335,58 +337,7 @@ WorkQueue::enqueueSlice(const exp::ExperimentSpec &spec, Tick step,
             "WorkQueue: slice index " + std::to_string(index) +
             " past the end of the chain");
     }
-    const std::string baseKey = exp::specKey(spec);
-    const std::string key = sliceKeyFor(baseKey, step, index);
-
-    // Same idempotence as enqueue(): the slice already pending or
-    // claimed — or the whole cell already failed — is a skip, which
-    // is what makes the crash-recovery "enqueue successor, then
-    // release" order safe to replay.
-    std::error_code ec;
-    bool present = fs::exists(pendingPath(key), ec) ||
-                   fs::exists(failedPath(baseKey), ec);
-    if (!present) {
-        for (const auto &entry : fs::directory_iterator(
-                 fs::path(dir_) / "claimed", ec)) {
-            if (entry.path().filename().string().rfind(key + ".",
-                                                       0) == 0) {
-                present = true;
-                break;
-            }
-        }
-    }
-    if (present) {
-        ++counters_.skipped;
-        return key;
-    }
-
-    const std::string doc = formatSliceFrame(
-        baseKey, step, index, exp::serializeSpec(spec));
-    const std::string tmp = dir_ + "/tmp/" + key + "." +
-                            std::to_string(::getpid()) + "." +
-                            std::to_string(tmpSerial_++);
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os) {
-            throw std::runtime_error("WorkQueue: cannot write \"" +
-                                     tmp + "\"");
-        }
-        os << doc;
-        if (!os.flush()) {
-            os.close();
-            fs::remove(tmp, ec);
-            throw std::runtime_error("WorkQueue: cannot write \"" +
-                                     tmp + "\"");
-        }
-    }
-    fs::rename(tmp, pendingPath(key), ec);
-    if (ec) {
-        fs::remove(tmp, ec);
-        throw std::runtime_error("WorkQueue: cannot enqueue \"" +
-                                 key + "\"");
-    }
-    ++counters_.enqueued;
-    return key;
+    return enqueueEntry(spec, exp::specKey(spec), step, index);
 }
 
 bool
@@ -417,53 +368,17 @@ WorkQueue::tryClaim(const std::string &workerId, Claim &out)
             continue;
         }
 
-        // The rename is ours. A file that does not parse back into
-        // the entry it is named for must never be simulated — move it
+        // The rename is ours. A file that does not decode into the
+        // entry it is named for must never be simulated — move it
         // aside loudly and keep scanning; the dispatcher re-enqueues
         // the cell from its own copy of the spec.
-        std::string text;
-        bool ok = readFile(claimed, text);
-        exp::ExperimentSpec spec;
-        SliceFrame frame;
-        const bool isSlice =
-            ok && text.rfind(kSliceHeader, 0) == 0;
-        std::string reason = "unreadable";
-        if (ok && isSlice) {
-            ok = parseSliceFrame(text, frame, reason);
-            if (ok) {
-                try {
-                    spec = exp::parseSpec(frame.specText);
-                    if (exp::specKey(spec) != frame.baseKey) {
-                        ok = false;
-                        reason = "slice base key mismatch";
-                    } else if (sliceKeyFor(frame.baseKey, frame.step,
-                                           frame.index) != key) {
-                        ok = false;
-                        reason = "slice key mismatch";
-                    } else if (frame.index >=
-                               sliceCount(spec, frame.step)) {
-                        ok = false;
-                        reason = "slice index past the chain";
-                    }
-                } catch (const std::exception &e) {
-                    ok = false;
-                    reason = e.what();
-                }
-            }
-        } else if (ok) {
-            try {
-                spec = exp::parseSpec(text);
-                if (exp::specKey(spec) != key) {
-                    ok = false;
-                    reason = "content key mismatch";
-                }
-            } catch (const std::exception &e) {
-                ok = false;
-                reason = e.what();
-            }
-        }
-        if (!ok) {
-            quarantine(claimed, reason);
+        Entry e;
+        try {
+            e = decodeEntry(readSnapshotFile(claimed));
+            if (entryKey(e.baseKey, e.step, e.index) != key)
+                throw SnapshotError("entry key mismatch");
+        } catch (const std::exception &err) {
+            quarantine(claimed, err.what());
             fs::remove(leasePath(key, workerId), ec);
             continue;
         }
@@ -471,15 +386,15 @@ WorkQueue::tryClaim(const std::string &workerId, Claim &out)
         out = Claim{};
         out.key = key;
         out.workerId = workerId;
-        out.spec = std::move(spec);
-        if (isSlice) {
+        out.spec = std::move(e.spec);
+        if (e.step != 0) {
             out.isSlice = true;
-            out.baseKey = frame.baseKey;
-            out.step = frame.step;
-            out.index = frame.index;
+            out.baseKey = e.baseKey;
+            out.step = e.step;
+            out.index = e.index;
             out.total = out.spec.warmup + out.spec.window;
-            out.t0 = frame.index * frame.step;
-            out.t1 = std::min(out.t0 + frame.step, out.total);
+            out.t0 = e.index * e.step;
+            out.t1 = std::min(out.t0 + e.step, out.total);
         }
         ++counters_.claims;
         return true;
@@ -519,56 +434,26 @@ WorkQueue::release(const Claim &claim)
 void
 WorkQueue::fail(const Claim &claim, const exp::RunResult &res)
 {
-    std::error_code ec;
-    std::string error = res.error;
-    for (char &c : error) {
-        if (c == '\n' || c == '\r')
-            c = ' ';
-    }
-    std::string doc = std::string(kFailureHeader) + "\n";
-    doc += "governor = " + res.governor + "\n";
-    doc += "host_seconds = " + exp::formatDouble(res.hostSeconds) +
-           "\n";
-    doc += "error = " + error + "\n";
-
     // A failed slice fails its *cell*: the marker carries the base
     // key the dispatcher is watching, and the rest of the chain is
     // simply never enqueued.
     const std::string cellKey =
         claim.isSlice ? claim.baseKey : claim.key;
-
-    const std::string tmp = dir_ + "/tmp/" + claim.key + ".fail." +
-                            std::to_string(::getpid()) + "." +
-                            std::to_string(tmpSerial_++);
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (os)
-            os << doc;
-    }
-    fs::rename(tmp, failedPath(cellKey), ec);
-    if (ec)
-        fs::remove(tmp, ec);
-    else
+    SnapshotWriter w(cellKey, 0);
+    w.putString("record", kFailureRecord);
+    exp::putResult(w, res);
+    if (stage(failedPath(cellKey), w.str()))
         ++counters_.failures;
-    // Keep the serialized spec next to the marker: retryFailed()
-    // can then put the cell back on the queue without needing a
-    // dispatcher's copy of the grid. A slice's claimed file is the
-    // framed chain entry, not a plain spec — rewrite the spec from
-    // the decoded claim instead so a retry re-runs the whole cell.
+
+    // Keep a whole-cell entry next to the marker: retryFailed() can
+    // then put the cell back on the queue without needing a
+    // dispatcher's copy of the grid. A slice's claimed file is a
+    // chain entry, so write the whole-cell entry afresh — a retry
+    // re-runs the whole cell.
+    std::error_code ec;
     if (claim.isSlice) {
-        const std::string spec_tmp =
-            dir_ + "/tmp/" + claim.key + ".spec." +
-            std::to_string(::getpid()) + "." +
-            std::to_string(tmpSerial_++);
-        {
-            std::ofstream os(spec_tmp,
-                             std::ios::binary | std::ios::trunc);
-            if (os)
-                os << exp::serializeSpec(claim.spec);
-        }
-        fs::rename(spec_tmp, failedPath(cellKey) + ".spec", ec);
-        if (ec)
-            fs::remove(spec_tmp, ec);
+        stage(failedPath(cellKey) + ".spec",
+              encodeEntry(claim.spec, cellKey, 0, 0));
         fs::remove(claimedPath(claim.key, claim.workerId), ec);
     } else {
         fs::rename(claimedPath(claim.key, claim.workerId),
@@ -579,42 +464,24 @@ WorkQueue::fail(const Claim &claim, const exp::RunResult &res)
     fs::remove(leasePath(claim.key, claim.workerId), ec);
 }
 
-void
-WorkQueue::requeue(const Claim &claim)
-{
-    std::error_code ec;
-    fs::rename(claimedPath(claim.key, claim.workerId),
-               pendingPath(claim.key), ec);
-    if (!ec)
-        ++counters_.requeues;
-    fs::remove(leasePath(claim.key, claim.workerId), ec);
-}
-
 bool
-WorkQueue::failedResult(const std::string &key, std::string &governor,
-                        std::string &error,
-                        double &hostSeconds) const
+WorkQueue::failedResult(const std::string &key,
+                        exp::RunResult &out) const
 {
-    std::string text;
-    if (!readFile(failedPath(key), text))
-        return false;
-    std::istringstream is(text);
-    std::string line;
-    if (!std::getline(is, line) || line != kFailureHeader)
+    try {
+        SnapshotReader r(readSnapshotFile(failedPath(key)));
+        if (r.specKey() != key ||
+            r.getString("record") != kFailureRecord)
+            return false;
+        exp::RunResult res = exp::getResult(r);
+        r.finish();
+        if (res.ok)
+            return false;
+        out = std::move(res);
+        return true;
+    } catch (const std::exception &) {
         return false; // Treated as absent; the cell will re-run.
-    governor.clear();
-    error.clear();
-    hostSeconds = 0.0;
-    while (std::getline(is, line)) {
-        if (line.rfind("governor = ", 0) == 0) {
-            governor = line.substr(11);
-        } else if (line.rfind("host_seconds = ", 0) == 0) {
-            hostSeconds = std::strtod(line.c_str() + 15, nullptr);
-        } else if (line.rfind("error = ", 0) == 0) {
-            error = line.substr(8);
-        }
     }
-    return true;
 }
 
 void
@@ -825,19 +692,17 @@ WorkQueue::listCells() const
     // claim path owns that) or otherwise perturb the campaign.
     auto decodeId = [&](const std::string &path) -> std::string {
         std::string text;
-        if (!readFile(path, text))
-            return std::string(); // Vanished mid-scan: skip signal.
         try {
-            if (text.rfind(kSliceHeader, 0) == 0) {
-                SliceFrame frame;
-                std::string reason;
-                if (!parseSliceFrame(text, frame, reason))
-                    return "(unparsable)";
-                return exp::parseSpec(frame.specText).id +
-                       " [slice " + std::to_string(frame.index) +
-                       "]";
-            }
-            return exp::parseSpec(text).id;
+            text = readSnapshotFile(path);
+        } catch (const SnapshotError &) {
+            return std::string(); // Vanished mid-scan: skip signal.
+        }
+        try {
+            const Entry e = decodeEntry(text);
+            if (e.step == 0)
+                return e.spec.id;
+            return e.spec.id + " [slice " + std::to_string(e.index) +
+                   "]";
         } catch (const std::exception &) {
             return "(unparsable)";
         }
@@ -895,10 +760,10 @@ WorkQueue::listCells() const
         CellInfo cell;
         cell.state = "failed";
         cell.key = name;
-        std::string governor;
-        double hostSeconds = 0.0;
-        if (!failedResult(name, governor, cell.error, hostSeconds))
+        exp::RunResult row;
+        if (!failedResult(name, row))
             continue; // Marker vanished (cleared) mid-scan.
+        cell.error = row.error;
         const std::string id =
             decodeId(entry.path().string() + ".spec");
         cell.specId = id.empty() ? "(spec not retained)" : id;
@@ -913,70 +778,20 @@ WorkQueue::listCells() const
     return cells;
 }
 
-namespace {
-
-/**
- * Value of a `"key": value` member in a metrics file (one member
- * per line; quotes stripped). False when absent.
- */
-bool
-metricsField(const std::string &text, const std::string &key,
-             std::string &out)
-{
-    const std::string needle = "\"" + key + "\":";
-    const auto pos = text.find(needle);
-    if (pos == std::string::npos)
-        return false;
-    auto v = text.find_first_not_of(" \t", pos + needle.size());
-    if (v == std::string::npos)
-        return false;
-    auto end = text.find_first_of(",\n}", v);
-    if (end == std::string::npos)
-        end = text.size();
-    out = text.substr(v, end - v);
-    if (out.size() >= 2 && out.front() == '"' && out.back() == '"')
-        out = out.substr(1, out.size() - 2);
-    return true;
-}
-
-} // anonymous namespace
-
 void
 WorkQueue::publishMetrics(const WorkerMetrics &m)
 {
-    std::string doc = "{\n";
-    doc += "  \"worker\": \"" + m.workerId + "\",\n";
-    doc += "  \"claimed\": " + std::to_string(m.claimed) + ",\n";
-    doc +=
-        "  \"simulated\": " + std::to_string(m.simulated) + ",\n";
-    doc +=
-        "  \"cacheHits\": " + std::to_string(m.cacheHits) + ",\n";
-    doc += "  \"failures\": " + std::to_string(m.failures) + ",\n";
-    doc += "  \"simSeconds\": " + exp::formatDouble(m.simSeconds) +
-           ",\n";
-    doc += "  \"wallSeconds\": " +
-           exp::formatDouble(m.wallSeconds) + "\n";
-    doc += "}\n";
-
-    std::error_code ec;
-    const std::string tmp = dir_ + "/tmp/" + m.workerId +
-                            ".metrics." +
-                            std::to_string(::getpid()) + "." +
-                            std::to_string(tmpSerial_++);
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            return; // Telemetry never fails a cell.
-        os << doc;
-        if (!os.flush()) {
-            os.close();
-            fs::remove(tmp, ec);
-            return;
-        }
-    }
-    fs::rename(tmp, metricsPath(m.workerId), ec);
-    if (ec)
-        fs::remove(tmp, ec);
+    // Metrics belong to no cell, hence the placeholder spec key.
+    SnapshotWriter w("-", 0);
+    w.putString("record", kMetricsRecord);
+    w.putString("worker", m.workerId);
+    w.putU64("claimed", m.claimed);
+    w.putU64("simulated", m.simulated);
+    w.putU64("cache_hits", m.cacheHits);
+    w.putU64("failures", m.failures);
+    w.putDouble("sim_seconds", m.simSeconds);
+    w.putDouble("wall_seconds", m.wallSeconds);
+    stage(metricsPath(m.workerId), w.str()); // Never fails a cell.
 }
 
 std::vector<WorkerMetrics>
@@ -988,32 +803,28 @@ WorkQueue::workerMetrics() const
     for (const auto &entry :
          fs::directory_iterator(fs::path(dir_) / "metrics", ec)) {
         const fs::path p = entry.path();
-        if (p.extension() != ".json")
+        if (p.extension() != kMetricsSuffix)
             continue;
-        std::string text;
-        if (!readFile(p.string(), text))
-            continue; // Vanished mid-scan.
         WorkerMetrics m;
-        std::string v;
-        // Publishes are atomic renames, so a file without the
-        // "worker" member is not torn — it is garbage; skip it.
-        if (!metricsField(text, "worker", v))
+        // Vanished, torn or foreign files are skipped.
+        try {
+            SnapshotReader r(readSnapshotFile(p.string()));
+            if (r.getString("record") != kMetricsRecord)
+                continue;
+            m.workerId = r.getString("worker");
+            m.claimed = r.getU64("claimed");
+            m.simulated = r.getU64("simulated");
+            m.cacheHits = r.getU64("cache_hits");
+            m.failures = r.getU64("failures");
+            m.simSeconds = r.getDouble("sim_seconds");
+            m.wallSeconds = r.getDouble("wall_seconds");
+            r.finish();
+        } catch (const std::exception &) {
             continue;
-        // The file name is the identity (publishMetrics names it);
-        // the embedded field is diagnostic.
-        m.workerId = p.stem().string();
-        if (metricsField(text, "claimed", v))
-            m.claimed = std::strtoul(v.c_str(), nullptr, 10);
-        if (metricsField(text, "simulated", v))
-            m.simulated = std::strtoul(v.c_str(), nullptr, 10);
-        if (metricsField(text, "cacheHits", v))
-            m.cacheHits = std::strtoul(v.c_str(), nullptr, 10);
-        if (metricsField(text, "failures", v))
-            m.failures = std::strtoul(v.c_str(), nullptr, 10);
-        if (metricsField(text, "simSeconds", v))
-            m.simSeconds = std::strtod(v.c_str(), nullptr);
-        if (metricsField(text, "wallSeconds", v))
-            m.wallSeconds = std::strtod(v.c_str(), nullptr);
+        }
+        // The file name is the identity (publishMetrics names it).
+        if (p.stem().string() != m.workerId)
+            continue;
         std::error_code age_ec;
         m.ageSeconds = ageAgainst(ref, p, age_ec);
         if (age_ec)

@@ -9,16 +9,20 @@
  *     <queue>/claimed/<key>.<worker>    cells being simulated
  *     <queue>/leases/<key>.<worker>     heartbeat files (mtime = alive)
  *     <queue>/failed/<key>              published error rows
- *     <queue>/failed/<key>.spec         retained specs (retry-failed)
+ *     <queue>/failed/<key>.spec         retained entries (retry-failed)
  *     <queue>/snaps/<key>.t<tick>.snap  checkpoint-chain snapshots
+ *     <queue>/metrics/<worker>.rec      worker telemetry
  *     <queue>/corrupt/                  quarantined unreadable files
  *     <queue>/tmp/                      staging for atomic writes
  *                                       + the lease-staleness probe
  *
- * A pending cell is its serialized exp::ExperimentSpec (format
- * docs/EXPERIMENTS.md), named by its content key (exp::specKey), so
- * the queue inherits the cache's identity rules: duplicate cells
- * collapse to one file and renaming/relabeling never re-enqueues.
+ * Every file the queue reads back — entries, failure markers, worker
+ * metrics — is a record in the snapshot codec (sim/snapshot.hh):
+ * strict keys, bit-exact doubles, a trailing checksum. A pending
+ * entry holds a cell's serialized exp::ExperimentSpec and is named
+ * by its content key (exp::specKey), so the queue inherits the
+ * cache's identity rules: duplicate cells collapse to one file and
+ * renaming/relabeling never re-enqueues.
  *
  * Claiming is one atomic rename(pending -> claimed): exactly one
  * worker wins a cell, with no coordination beyond the filesystem.
@@ -52,8 +56,8 @@ namespace sysscale {
 namespace dist {
 
 /**
- * One claimed queue entry, owned by a worker until release/fail/
- * requeue: either a whole cell or one time-slice of a cell's
+ * One claimed queue entry, owned by a worker until release or fail:
+ * either a whole cell or one time-slice of a cell's
  * checkpoint chain (see @ref WorkQueue::enqueueSlice).
  */
 struct Claim
@@ -139,7 +143,7 @@ struct QueueStatus
 
 /**
  * One worker's self-published campaign telemetry. Workers rewrite
- * their own metrics file (metrics/<workerId>.json, atomic staged
+ * their own metrics record (metrics/<workerId>.rec, atomic staged
  * rename) after every completed cell; observers read the whole
  * directory back with @ref WorkQueue::workerMetrics. Ages are
  * measured against the queue filesystem's probe clock, like lease
@@ -174,7 +178,6 @@ struct QueueCounters
     std::size_t claims = 0;    //!< Successful tryClaim calls.
     std::size_t releases = 0;  //!< Claims completed.
     std::size_t failures = 0;  //!< Error rows published.
-    std::size_t requeues = 0;  //!< Claims returned via requeue().
     std::size_t reclaims = 0;  //!< Stale claims recovered.
     std::size_t corrupt = 0;   //!< Files quarantined to corrupt/.
 };
@@ -282,23 +285,20 @@ class WorkQueue
      * Publish an error row for @p claim into failed/ and drop the
      * claim. Failed cells count as finished: they are not retried
      * until a dispatcher explicitly clears them (error rows are
-     * never cached, matching the single-process runner). The cell's
-     * serialized spec is kept alongside the marker (failed/<key>.spec)
-     * so @ref retryFailed can put the cell back on the queue without
-     * a dispatcher.
+     * never cached, matching the single-process runner). A
+     * whole-cell entry is kept alongside the marker
+     * (failed/<key>.spec) so @ref retryFailed can put the cell back
+     * on the queue without a dispatcher.
      */
     void fail(const Claim &claim, const exp::RunResult &res);
 
-    /** Return an unfinished claim to pending/ (graceful shutdown). */
-    void requeue(const Claim &claim);
-
     /**
-     * Read the error row published for @p key, if any. Fills
-     * @p governor / @p error / @p hostSeconds and returns true when
-     * a failure marker exists.
+     * Read the error row published for @p key into @p out. Returns
+     * false when no marker exists or it does not decode (the cell
+     * then re-runs).
      */
-    bool failedResult(const std::string &key, std::string &governor,
-                      std::string &error, double &hostSeconds) const;
+    bool failedResult(const std::string &key,
+                      exp::RunResult &out) const;
 
     /** Remove the failure marker of @p key (fresh dispatch attempt). */
     void clearFailed(const std::string &key);
@@ -365,8 +365,8 @@ class WorkQueue
     /** @name Worker telemetry (campaign dashboards). @{ */
 
     /**
-     * Publish @p m as this worker's metrics file
-     * (metrics/<m.workerId>.json), staged under tmp/ and atomically
+     * Publish @p m as this worker's metrics record
+     * (metrics/<m.workerId>.rec), staged under tmp/ and atomically
      * renamed so observers never read a torn write. Best-effort: a
      * publish that cannot complete is dropped silently (telemetry
      * must never fail a cell).
@@ -441,6 +441,18 @@ class WorkQueue
                     const std::string &reason);
     void heartbeatPath(const std::string &lease,
                        const std::string &workerId);
+
+    /**
+     * Publish @p text at @p path: write it to a staging file under
+     * tmp/, check the write, then rename it into place, so readers
+     * never see a torn file. False when any step fails.
+     */
+    bool stage(const std::string &path, const std::string &text);
+
+    /** Shared body of enqueue()/enqueueSlice() (@p step 0 = cell). */
+    std::string enqueueEntry(const exp::ExperimentSpec &spec,
+                             const std::string &baseKey, Tick step,
+                             std::uint64_t index);
 
     /**
      * The queue filesystem's own "now": touch a probe file under

@@ -2,20 +2,21 @@
  * @file
  * Content-addressed on-disk result cache.
  *
- * One file per cell, named <cache_dir>/<specKey(spec)>.json, holding
- * the full serialized spec (for auditability and hash-collision
- * detection) plus the RunResult JSON exactly as report.cc emits it.
- * Because the key covers everything the simulation depends on and
- * numbers are stored with round-trip precision, replaying a hit is
- * byte-identical to rerunning the cell — including the recorded
- * hostSeconds of the original execution.
+ * One file per cell, named <cache_dir>/<specKey(spec)>.rec: a record
+ * in the snapshot codec (sim/snapshot.hh) holding the full serialized
+ * spec (for auditability and hash-collision detection) plus the
+ * RunResult (putResult). Because the key covers everything the
+ * simulation depends on and doubles are stored as their bit
+ * patterns, replaying a hit is byte-identical to rerunning the cell
+ * — including the recorded hostSeconds of the original execution.
+ * The record's trailing checksum turns any damaged byte into a miss.
  *
  * Rules:
  *  - only ok results are stored; error rows are never cached,
  *  - specs carrying a governorFactory or borrowedPolicy are not
  *    content-addressable and bypass the cache entirely,
- *  - a corrupt, unparsable, or key-mismatched file is a miss (and is
- *    overwritten by the next store),
+ *  - a corrupt, unparsable, or key-mismatched file is a miss counted
+ *    in CacheStats::corrupt (and is overwritten by the next store),
  *  - the id and labels of a hit are taken from the querying spec,
  *    not the stored one: cells that differ only in presentation
  *    share one entry.
@@ -36,6 +37,10 @@
 #include "exp/experiment.hh"
 
 namespace sysscale {
+
+class SnapshotReader;
+class SnapshotWriter;
+
 namespace exp {
 
 /** Counters for one ResultCache instance (monotonic). */
@@ -88,8 +93,22 @@ class ResultCache
     std::atomic<std::size_t> stores_{0};
     std::atomic<std::size_t> corrupt_{0};
     std::atomic<std::size_t> uncacheable_{0};
-    std::atomic<std::size_t> tmpSerial_{0};
 };
+
+/**
+ * @name The RunResult record section.
+ *
+ * One encoding of a result row, shared by every internal record
+ * that carries one (cache entries, the work queue's failure
+ * markers). Written under the `result.` scope with fixed keys only —
+ * ids, labels and error text are values, never keys.
+ * @{
+ */
+void putResult(SnapshotWriter &w, const RunResult &res);
+
+/** Inverse of putResult(); throws SnapshotError on a bad field. */
+RunResult getResult(SnapshotReader &r);
+/** @} */
 
 /**
  * The cache resolution every CLI shares (sweep_grid and the

@@ -160,7 +160,7 @@ struct RunResult
     /**
      * Named stats dump ("path.stat value # desc" lines) of the
      * cell's whole stats::StatGroup hierarchy, taken after the
-     * measurement window. Rides the cache JSON as its own member —
+     * measurement window. Rides the cache entry as its own field —
      * the CSV/JSON report surfaces are unchanged — and feeds the
      * sweep_grid --stats-csv wide-format export.
      */

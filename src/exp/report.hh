@@ -24,8 +24,8 @@ namespace exp {
 
 /**
  * Round-trip double formatting ("%.17g", locale-free) — the one
- * number format shared by the reporters, the spec codec, and the
- * result cache, so writer and reader can never drift apart.
+ * number format shared by the reporters and the spec codec, so
+ * writer and reader can never drift apart.
  */
 std::string formatDouble(double v);
 

@@ -41,9 +41,6 @@ std::size_t panelWidth(PanelResolution r);
 /** Vertical pixel count of @p r. */
 std::size_t panelHeight(PanelResolution r);
 
-/** Human-readable name of @p r. */
-const char *panelResolutionName(PanelResolution r);
-
 /** One attached display panel. */
 struct PanelConfig
 {

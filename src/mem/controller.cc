@@ -175,15 +175,6 @@ MemoryController::service(const MemDemand &demand, Tick interval)
 }
 
 Watt
-MemoryController::idleSelfRefresh(Tick interval)
-{
-    SYSSCALE_ASSERT(interval > 0, "zero-length idle interval");
-    lastUtilization_ = 0.0;
-    lastDramPower_ = device_.selfRefreshPower();
-    return lastDramPower_;
-}
-
-Watt
 MemoryController::controllerPower(double utilization) const
 {
     return powerAt(vsa_, clock(), utilization);

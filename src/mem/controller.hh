@@ -139,13 +139,6 @@ class MemoryController : public SimObject
      */
     MemServiceResult service(const MemDemand &demand, Tick interval);
 
-    /**
-     * Idle-interval bookkeeping: DRAM sits in self-refresh (deep SoC
-     * idle states park memory, Sec. 7.3). Returns the average power of
-     * the parked devices.
-     */
-    Watt idleSelfRefresh(Tick interval);
-
     /** Sustainable interface bandwidth at the current registers. */
     BytesPerSec capacity() const;
 

@@ -14,14 +14,6 @@ EnergyMeter::addPower(Rail rail, Watt watts, Tick duration)
     energy_[railIndex(rail)] += watts * secondsFromTicks(duration);
 }
 
-void
-EnergyMeter::addEnergy(Rail rail, Joule joules)
-{
-    SYSSCALE_ASSERT(joules >= 0.0, "negative energy on rail %s",
-                    std::string(railName(rail)).c_str());
-    energy_[railIndex(rail)] += joules;
-}
-
 Joule
 EnergyMeter::railEnergy(Rail rail) const
 {
@@ -35,14 +27,6 @@ EnergyMeter::totalEnergy() const
     for (auto e : energy_)
         sum += e;
     return sum;
-}
-
-Watt
-EnergyMeter::railAveragePower(Rail rail, Tick now) const
-{
-    if (now <= windowStart_)
-        return 0.0;
-    return railEnergy(rail) / secondsFromTicks(now - windowStart_);
 }
 
 Watt

@@ -29,17 +29,11 @@ class EnergyMeter
     /** Charge @p watts drawn on @p rail for @p duration ticks. */
     void addPower(Rail rail, Watt watts, Tick duration);
 
-    /** Charge a raw energy amount on @p rail. */
-    void addEnergy(Rail rail, Joule joules);
-
     /** Total energy on one rail since reset. */
     Joule railEnergy(Rail rail) const;
 
     /** Total energy across all rails since reset. */
     Joule totalEnergy() const;
-
-    /** Average power on one rail over [resetTick, now]. */
-    Watt railAveragePower(Rail rail, Tick now) const;
 
     /** Average SoC power over [resetTick, now]. */
     Watt averagePower(Tick now) const;

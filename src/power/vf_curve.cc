@@ -46,20 +46,6 @@ VfCurve::fmax() const
 }
 
 Volt
-VfCurve::vmin() const
-{
-    SYSSCALE_ASSERT(!points_.empty(), "empty VfCurve");
-    return points_.front().voltage;
-}
-
-Volt
-VfCurve::vmax() const
-{
-    SYSSCALE_ASSERT(!points_.empty(), "empty VfCurve");
-    return points_.back().voltage;
-}
-
-Volt
 VfCurve::voltageAt(Hertz freq) const
 {
     SYSSCALE_ASSERT(!points_.empty(), "empty VfCurve");

@@ -49,12 +49,6 @@ class VfCurve
     /** Highest supported frequency. */
     Hertz fmax() const;
 
-    /** Minimum functional voltage of the domain (voltage at fmin). */
-    Volt vmin() const;
-
-    /** Voltage at fmax. */
-    Volt vmax() const;
-
     /**
      * Minimum functional voltage for @p freq (linear interpolation;
      * clamped to the curve ends).

@@ -1,7 +1,6 @@
 #include "sim/stats.hh"
 
 #include <algorithm>
-#include <iomanip>
 
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
@@ -156,90 +155,6 @@ TimeAverage::loadState(SnapshotReader &r)
     current_ = r.getDouble("current");
     lastSet_ = r.getU64("last_set");
     started_ = r.getBool("started");
-}
-
-Distribution::Distribution(StatGroup *parent, std::string name,
-                           std::string desc, double lo, double hi,
-                           std::size_t buckets)
-    : StatBase(parent, std::move(name), std::move(desc)),
-      lo_(lo), hi_(hi),
-      width_((hi - lo) / static_cast<double>(buckets)),
-      buckets_(buckets, 0)
-{
-    SYSSCALE_ASSERT(hi > lo && buckets > 0,
-                    "Distribution '%s': bad bucket spec",
-                    this->name().c_str());
-}
-
-void
-Distribution::sample(double v, std::uint64_t count)
-{
-    samples_ += count;
-    sum_ += v * static_cast<double>(count);
-    if (v < lo_) {
-        underflow_ += count;
-    } else if (v >= hi_) {
-        overflow_ += count;
-    } else {
-        auto idx = static_cast<std::size_t>((v - lo_) / width_);
-        if (idx >= buckets_.size())
-            idx = buckets_.size() - 1; // fp rounding at the top edge
-        buckets_[idx] += count;
-    }
-}
-
-void
-Distribution::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = overflow_ = samples_ = 0;
-    sum_ = 0.0;
-}
-
-void
-Distribution::dump(std::ostream &os, const std::string &prefix) const
-{
-    os << prefix << name() << "::samples " << samples_
-       << " # " << desc() << "\n";
-    os << prefix << name() << "::mean " << mean() << " # mean sample\n";
-    os << prefix << name() << "::underflow " << underflow_
-       << " # samples < " << lo_ << "\n";
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        const double blo = lo_ + width_ * static_cast<double>(i);
-        os << prefix << name() << "::bucket[" << std::setprecision(4)
-           << blo << "," << (blo + width_) << ") " << buckets_[i]
-           << "\n";
-    }
-    os << prefix << name() << "::overflow " << overflow_
-       << " # samples >= " << hi_ << "\n";
-}
-
-void
-Distribution::saveState(SnapshotWriter &w) const
-{
-    // lo/hi/width are construction-fixed; only the counts move.
-    w.putU64("buckets", buckets_.size());
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        w.putU64("bucket" + std::to_string(i), buckets_[i]);
-    w.putU64("underflow", underflow_);
-    w.putU64("overflow", overflow_);
-    w.putU64("samples", samples_);
-    w.putDouble("sum", sum_);
-}
-
-void
-Distribution::loadState(SnapshotReader &r)
-{
-    const std::uint64_t n = r.getU64("buckets");
-    if (n != buckets_.size())
-        throw SnapshotError("Distribution '" + name() +
-                            "': bucket count mismatch");
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        buckets_[i] = r.getU64("bucket" + std::to_string(i));
-    underflow_ = r.getU64("underflow");
-    overflow_ = r.getU64("overflow");
-    samples_ = r.getU64("samples");
-    sum_ = r.getDouble("sum");
 }
 
 StatGroup::StatGroup(StatGroup *parent, std::string name)

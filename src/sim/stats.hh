@@ -7,7 +7,6 @@
  *  - Scalar: monotonically accumulated value (counts, joules, ...).
  *  - Average: sample-weighted mean with min/max.
  *  - TimeAverage: time-weighted mean of a piecewise-constant signal.
- *  - Distribution: fixed-bucket histogram with overflow/underflow.
  */
 
 #ifndef SYSSCALE_SIM_STATS_HH
@@ -137,39 +136,6 @@ class TimeAverage : public StatBase
     double current_ = 0.0;
     Tick lastSet_ = 0;
     bool started_ = false;
-};
-
-/** Fixed-bucket histogram. */
-class Distribution : public StatBase
-{
-  public:
-    Distribution(StatGroup *parent, std::string name, std::string desc,
-                 double lo, double hi, std::size_t buckets);
-
-    void sample(double v, std::uint64_t count = 1);
-
-    std::uint64_t bucketCount(std::size_t i) const { return buckets_[i]; }
-    std::size_t numBuckets() const { return buckets_.size(); }
-    std::uint64_t underflow() const { return underflow_; }
-    std::uint64_t overflow() const { return overflow_; }
-    std::uint64_t samples() const { return samples_; }
-    double mean() const { return samples_ ? sum_ / samples_ : 0.0; }
-
-    void reset() override;
-    void dump(std::ostream &os,
-              const std::string &prefix) const override;
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-
-  private:
-    double lo_;
-    double hi_;
-    double width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
-    std::uint64_t samples_ = 0;
-    double sum_ = 0.0;
 };
 
 /**

@@ -17,28 +17,21 @@ namespace {
 /** LLC capacity the workload profiles were characterized at. */
 constexpr std::size_t kProfileLlcBytes = 4ull * 1024 * 1024;
 
-/** Skip-ahead default override: -1 = follow the environment. */
-std::atomic<int> g_skip_ahead_override{-1};
+/** Process-wide skip-ahead default for new Soc instances. */
+std::atomic<bool> g_skip_ahead_default{true};
 
 } // namespace
 
 bool
 Soc::skipAheadDefault()
 {
-    const int o = g_skip_ahead_override.load(std::memory_order_relaxed);
-    if (o >= 0)
-        return o != 0;
-    // lint:allow nondeterminism -- opt-out knob only; the replay path
-    // it gates is byte-identical to the slow path by construction
-    static const bool env_on =
-        std::getenv("SYSSCALE_NO_SKIP_AHEAD") == nullptr;
-    return env_on;
+    return g_skip_ahead_default.load(std::memory_order_relaxed);
 }
 
 void
 Soc::setSkipAheadDefault(bool on)
 {
-    g_skip_ahead_override.store(on ? 1 : 0, std::memory_order_relaxed);
+    g_skip_ahead_default.store(on, std::memory_order_relaxed);
 }
 
 Soc::Soc(Simulator &sim, SocConfig cfg)

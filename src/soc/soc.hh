@@ -302,9 +302,8 @@ class Soc : public SimObject
     bool skipAheadEnabled() const { return skipAhead_; }
 
     /**
-     * Process-wide default for new Soc instances. Initialized from
-     * the environment (SYSSCALE_NO_SKIP_AHEAD disables) and
-     * overridable by tools (sweep_grid --no-skip-ahead).
+     * Process-wide default for new Soc instances: on unless a tool
+     * turns it off (sweep_grid --no-skip-ahead, perfbench, tests).
      */
     static bool skipAheadDefault();
     static void setSkipAheadDefault(bool on);

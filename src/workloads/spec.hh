@@ -33,9 +33,6 @@ std::vector<WorkloadProfile> specSuite();
 /** One benchmark by name, e.g. "470.lbm" (fatal if unknown). */
 WorkloadProfile specBenchmark(const std::string &name);
 
-/** Names in suite order (for reports). */
-std::vector<std::string> specNames();
-
 } // namespace workloads
 } // namespace sysscale
 

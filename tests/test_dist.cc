@@ -37,6 +37,7 @@
 #include "exp/report.hh"
 #include "exp/runner.hh"
 #include "exp/spec_codec.hh"
+#include "sim/snapshot.hh"
 #include "workloads/micro.hh"
 
 using namespace sysscale;
@@ -250,26 +251,25 @@ TEST(WorkQueue, CorruptPendingFilesNeverProduceAClaim)
         events.push_back(e);
     };
 
-    // Garbage bytes, a truncated real spec, and a well-formed spec
+    // Garbage bytes, a truncated real entry, and a well-formed entry
     // filed under the wrong key (content/name mismatch): none may
     // ever reach a worker as a claim — a wrong result is the one
     // unrecoverable failure.
     const exp::ExperimentSpec spec = fastSpec("cell");
-    const std::string text = exp::serializeSpec(spec);
+    const std::string key = queue.enqueue(spec);
+    const std::string text = readSnapshotFile(queue.pendingPath(key));
+    // Decodes fine, but specKey(spec) != filename.
+    std::filesystem::rename(queue.pendingPath(key),
+                            queue.pendingPath("00000000deadbeef"));
     {
         std::ofstream os(
             queue.pendingPath("0123456789abcdef"));
-        os << "not a spec at all\n";
+        os << "not a queue entry at all\n";
     }
     {
         std::ofstream os(
             queue.pendingPath("fedcba9876543210"));
         os << text.substr(0, text.size() / 2);
-    }
-    {
-        std::ofstream os(
-            queue.pendingPath("00000000deadbeef"));
-        os << text; // parses fine, but specKey(spec) != filename
     }
 
     dist::Claim claim;
@@ -443,6 +443,12 @@ TEST(Dispatch, FailedCellsBecomeLoudErrorRows)
         << outcome.results[1].error;
     EXPECT_EQ(outcome.results[1].id, "broken");
     EXPECT_EQ(outcome.failedCells, 1u);
+
+    // The marker carries the error row itself: apart from the host
+    // timing it is the single-process runner's row.
+    exp::RunResult local = exp::runCell(broken);
+    local.hostSeconds = outcome.results[1].hostSeconds;
+    EXPECT_EQ(exp::csvRow(outcome.results[1]), exp::csvRow(local));
 
     // Error rows are never cached; the failure marker is what
     // resolved the cell.

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "exp/report.hh"
 #include "exp/runner.hh"
 #include "exp/spec_codec.hh"
+#include "sim/snapshot.hh"
 #include "workloads/micro.hh"
 
 using namespace sysscale;
@@ -69,6 +71,39 @@ stableRow(exp::RunResult res)
 {
     res.hostSeconds = 0.0;
     return exp::csvRow(res);
+}
+
+/**
+ * Apply @p edit to the text of @p spec's cache entry and recompute
+ * the record's checksum, so the edit reaches the field decoders
+ * instead of being caught by the checksum.
+ */
+void
+forgeEntry(const exp::ResultCache &cache, const exp::ExperimentSpec &spec,
+           const std::function<void(std::string &)> &edit)
+{
+    std::string text = readSnapshotFile(cache.pathFor(spec));
+    text.resize(text.rfind("checksum = "));
+    edit(text);
+    char sum[17];
+    std::snprintf(sum, sizeof(sum), "%016llx",
+                  static_cast<unsigned long long>(snapshotFnv1a64(text)));
+    std::ofstream os(cache.pathFor(spec),
+                     std::ios::binary | std::ios::trunc);
+    os << text << "checksum = " << sum << "\n";
+}
+
+/** Replace the digits after @p needle in @p doc with @p digits. */
+void
+replaceNumberAfter(std::string &doc, const std::string &needle,
+                   const std::string &digits)
+{
+    const std::size_t at = doc.find(needle);
+    ASSERT_NE(at, std::string::npos) << needle;
+    std::size_t end = at + needle.size();
+    while (end < doc.size() && doc[end] >= '0' && doc[end] <= '9')
+        ++end;
+    doc.replace(at + needle.size(), end - (at + needle.size()), digits);
 }
 
 std::vector<exp::ExperimentSpec>
@@ -188,21 +223,9 @@ TEST(ResultCache, EntryWithFatalSpecFieldIsAMissNotACrash)
     // Tamper with the embedded spec text: a zero-length phase is
     // fatal in WorkloadProfile's constructor, so parseSpec must
     // throw (-> miss) rather than reach it.
-    std::ifstream is(cache.pathFor(spec), std::ios::binary);
-    std::string doc((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
-    is.close();
-    const std::string needle = "phase.0.duration = ";
-    const std::size_t at = doc.find(needle);
-    ASSERT_NE(at, std::string::npos);
-    std::size_t end = at + needle.size();
-    while (end < doc.size() && doc[end] >= '0' && doc[end] <= '9')
-        ++end;
-    doc.replace(at + needle.size(), end - (at + needle.size()), "0");
-    std::ofstream os(cache.pathFor(spec),
-                     std::ios::binary | std::ios::trunc);
-    os << doc;
-    os.close();
+    forgeEntry(cache, spec, [](std::string &doc) {
+        replaceNumberAfter(doc, "phase.0.duration = ", "0");
+    });
 
     exp::RunResult out;
     EXPECT_FALSE(cache.lookup(spec, out));
@@ -216,20 +239,39 @@ TEST(ResultCache, TruncatedNumberTokenIsAMissNotAWrongHit)
     const exp::ExperimentSpec spec = fastSpec("badnumber");
     cache.store(spec, exp::runCell(spec));
 
-    // "qos_violations":0 -> 12.9: strtoull would stop at the '.'
-    // and serve 12; the reader must reject the token instead.
+    // qos_violations 0 -> 12.9: strtoull would stop at the '.' and
+    // serve 12; the reader must reject the token instead.
+    forgeEntry(cache, spec, [](std::string &doc) {
+        replaceNumberAfter(doc, "result.metrics.qos_violations = ",
+                           "12.9");
+    });
+
+    exp::RunResult out;
+    EXPECT_FALSE(cache.lookup(spec, out));
+    EXPECT_GE(cache.stats().corrupt, 1u);
+}
+
+/**
+ * One changed digit of a stored metric must be a miss, never a hit
+ * serving the wrong number: the entry's checksum covers the result.
+ */
+TEST(ResultCache, ChangedMetricDigitIsAMissNotAWrongHit)
+{
+    const CacheDir dir("metricdigit");
+    exp::ResultCache cache(dir.path());
+    const exp::ExperimentSpec spec = fastSpec("metricdigit");
+    cache.store(spec, exp::runCell(spec));
+
     std::ifstream is(cache.pathFor(spec), std::ios::binary);
     std::string doc((std::istreambuf_iterator<char>(is)),
                     std::istreambuf_iterator<char>());
     is.close();
-    const std::string needle = "\"qos_violations\":";
-    const std::size_t at = doc.find(needle);
+    std::size_t at = doc.find("energy_j");
     ASSERT_NE(at, std::string::npos);
-    std::size_t end = at + needle.size();
-    while (end < doc.size() && doc[end] >= '0' && doc[end] <= '9')
-        ++end;
-    doc.replace(at + needle.size(), end - (at + needle.size()),
-                "12.9");
+    while (at < doc.size() && (doc[at] < '0' || doc[at] > '9'))
+        ++at;
+    ASSERT_LT(at, doc.size());
+    doc[at] = static_cast<char>('0' + (doc[at] - '0' + 1) % 10);
     std::ofstream os(cache.pathFor(spec),
                      std::ios::binary | std::ios::trunc);
     os << doc;
@@ -237,7 +279,7 @@ TEST(ResultCache, TruncatedNumberTokenIsAMissNotAWrongHit)
 
     exp::RunResult out;
     EXPECT_FALSE(cache.lookup(spec, out));
-    EXPECT_GE(cache.stats().corrupt, 1u);
+    EXPECT_EQ(cache.stats().corrupt, 1u);
 }
 
 TEST(ResultCache, StoredEntryWithForeignKeyIsRejected)
@@ -355,28 +397,18 @@ TEST(ResultCache, StaleFormatEntryDegradesToAMiss)
     const exp::RunResult res = exp::runCell(spec);
     cache.store(spec, res);
 
-    // Rewrite the entry as a previous-version document: format field
-    // and embedded spec header both claim the old version (as a real
-    // pre-bump cache file would at this path).
+    // Rewrite the entry as a previous-version one: the embedded spec
+    // header claims the old version (as a real pre-bump cache file
+    // would at this path).
     const std::string cur = std::to_string(exp::kSpecFormatVersion);
     const std::string old =
         std::to_string(exp::kSpecFormatVersion - 1);
-    std::ifstream is(cache.pathFor(spec), std::ios::binary);
-    std::string doc((std::istreambuf_iterator<char>(is)),
-                    std::istreambuf_iterator<char>());
-    is.close();
-    const std::string fmt_cur = "\"format\": " + cur;
-    const std::size_t fmt = doc.find(fmt_cur);
-    ASSERT_NE(fmt, std::string::npos);
-    doc.replace(fmt, fmt_cur.size(), "\"format\": " + old);
-    const std::string hdr_cur = "sysscale-spec v" + cur;
-    const std::size_t hdr = doc.find(hdr_cur);
-    ASSERT_NE(hdr, std::string::npos);
-    doc.replace(hdr, hdr_cur.size(), "sysscale-spec v" + old);
-    std::ofstream os(cache.pathFor(spec),
-                     std::ios::binary | std::ios::trunc);
-    os << doc;
-    os.close();
+    forgeEntry(cache, spec, [&](std::string &doc) {
+        const std::string hdr_cur = "sysscale-spec v" + cur;
+        const std::size_t hdr = doc.find(hdr_cur);
+        ASSERT_NE(hdr, std::string::npos);
+        doc.replace(hdr, hdr_cur.size(), "sysscale-spec v" + old);
+    });
 
     exp::RunResult out;
     EXPECT_FALSE(cache.lookup(spec, out));

@@ -13,7 +13,6 @@ namespace sysscale {
 namespace {
 
 using stats::Average;
-using stats::Distribution;
 using stats::Scalar;
 using stats::StatGroup;
 using stats::TimeAverage;
@@ -59,23 +58,6 @@ TEST(Stats, TimeAverageWeightsByDuration)
     t.set(0.0, 750);   // 1.0 held for 750 ticks
     t.finish(1000);    // 0.0 held for 250 ticks
     EXPECT_DOUBLE_EQ(t.mean(), 0.75);
-}
-
-TEST(Stats, DistributionBucketsAndOverflow)
-{
-    StatGroup root(nullptr, "root");
-    Distribution d(&root, "dist", "histogram", 0.0, 10.0, 5);
-    d.sample(1.0);  // bucket 0
-    d.sample(3.0);  // bucket 1
-    d.sample(9.9);  // bucket 4
-    d.sample(-1.0); // underflow
-    d.sample(11.0); // overflow
-    EXPECT_EQ(d.bucketCount(0), 1u);
-    EXPECT_EQ(d.bucketCount(1), 1u);
-    EXPECT_EQ(d.bucketCount(4), 1u);
-    EXPECT_EQ(d.underflow(), 1u);
-    EXPECT_EQ(d.overflow(), 1u);
-    EXPECT_EQ(d.samples(), 5u);
 }
 
 TEST(Stats, GroupPathAndHierarchicalDump)

@@ -1,7 +1,9 @@
 /**
  * @file
  * snap_inspect: decode, compare, and regression-check simulator
- * snapshots (sim/snapshot.hh).
+ * snapshots (sim/snapshot.hh). dump and diff also read every other
+ * record in that codec: cache entries, queue entries, failure
+ * markers and worker metrics.
  *
  * The snapshot format is deliberately line-oriented text so a
  * divergence bisects to a *named field* instead of a byte offset.
@@ -66,7 +68,8 @@ usage()
         "usage: snap_inspect <command> [args]\n"
         "commands:\n"
         "  dump FILE        decoded field-by-field view of a\n"
-        "                   snapshot; 16-hex doubles are annotated\n"
+        "                   snapshot or record (cache entry, queue\n"
+        "                   file); 16-hex doubles are annotated\n"
         "                   with their %%.17g value (read-only)\n"
         "  diff A B         field-level comparison of two\n"
         "                   snapshots; prints every differing key\n"

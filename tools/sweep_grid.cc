@@ -204,7 +204,7 @@ usage()
         "  --no-skip-ahead    disable the constant-step replay fast\n"
         "                     path (outputs are byte-identical either\n"
         "                     way; this trades speed for a slow-path\n"
-        "                     cross-check, like SYSSCALE_NO_SKIP_AHEAD)\n"
+        "                     cross-check)\n"
         "  --cache-stats      report hit/miss/store counts\n"
         "  --quiet            no per-cell progress\n"
         "  --list             list governors and workloads\n");
