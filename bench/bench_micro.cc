@@ -72,6 +72,32 @@ BM_LoadedLatency(benchmark::State &state)
 }
 BENCHMARK(BM_LoadedLatency);
 
+/**
+ * The PBM's P-state search on the CPU table, cycling through the same
+ * 64 budgets x 16 activities sweep as perfbench's
+ * power.highest_under_ns; one iteration is one call.
+ */
+void
+BM_PStateHighestUnder(benchmark::State &state)
+{
+    Simulator sim;
+    soc::Soc chip(sim, soc::skylakeConfig(4.5));
+    const power::PStateTable &table = chip.cpu().pstates();
+    const double tdp = chip.config().tdp;
+    constexpr int kBudgets = 64, kActivities = 16;
+    int b = 0, a = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            table.highestUnder(tdp * b / (kBudgets - 1),
+                               1.0 * a / (kActivities - 1)));
+        if (++a == kActivities) {
+            a = 0;
+            b = (b + 1) % kBudgets;
+        }
+    }
+}
+BENCHMARK(BM_PStateHighestUnder);
+
 void
 BM_PredictorDecision(benchmark::State &state)
 {

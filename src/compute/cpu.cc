@@ -15,6 +15,7 @@ CpuCluster::CpuCluster(Simulator &sim, SimObject *parent,
     : SimObject(sim, parent, "cpu"), cores_(cores),
       threadsPerCore_(threads_per_core), pstates_(std::move(pstates)),
       freq_(pstates_.min().freq), voltage_(pstates_.min().voltage),
+      leak_(pstates_.leakK(), voltage_, pstates_.temperature()),
       instructions_(this, "instructions", "instructions retired"),
       stallCycles_(this, "stall_cycles", "cycles stalled on misses"),
       pstateChanges_(this, "pstate_changes", "P-state transitions")
@@ -28,6 +29,7 @@ CpuCluster::setPState(const power::PState &state)
 {
     if (state.freq != freq_ || state.voltage != voltage_)
         ++pstateChanges_;
+    leak_.setVoltage(state.voltage);
     freq_ = state.freq;
     voltage_ = state.voltage;
 }
@@ -115,14 +117,6 @@ CpuCluster::power(std::size_t active_threads, double activity) const
     return per_core_dyn * core_equivalents + leakage();
 }
 
-Watt
-CpuCluster::leakage() const
-{
-    return power::leakagePower(pstates_.leakK(), voltage_,
-                               pstates_.temperature()) *
-           static_cast<double>(cores_);
-}
-
 void
 CpuCluster::saveState(SnapshotWriter &w) const
 {
@@ -137,6 +131,7 @@ CpuCluster::loadState(SnapshotReader &r)
     // P-state transition that never happened.
     freq_ = r.getDouble("freq");
     voltage_ = r.getDouble("voltage");
+    leak_.setVoltage(voltage_);
 }
 
 } // namespace compute

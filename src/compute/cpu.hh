@@ -132,8 +132,15 @@ class CpuCluster : public SimObject
      */
     Watt power(std::size_t active_threads, double activity) const;
 
-    /** Leakage of the whole cluster at the current voltage. */
-    Watt leakage() const;
+    /**
+     * Leakage of the whole cluster at the current voltage; computed
+     * when the voltage is set, not per call.
+     */
+    Watt
+    leakage() const
+    {
+        return leak_.watts() * static_cast<double>(cores_);
+    }
 
     /** Instructions retired since construction. */
     double totalInstructions() const { return instructions_.value(); }
@@ -152,6 +159,7 @@ class CpuCluster : public SimObject
     power::PStateTable pstates_;
     Hertz freq_;
     Volt voltage_;
+    power::RailLeakage leak_; //!< Per-core leakage at voltage_.
 
     stats::Scalar instructions_;
     stats::Scalar stallCycles_;

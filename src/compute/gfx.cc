@@ -12,6 +12,7 @@ GfxEngine::GfxEngine(Simulator &sim, SimObject *parent,
                      power::PStateTable pstates)
     : SimObject(sim, parent, "gfx"), pstates_(std::move(pstates)),
       freq_(pstates_.min().freq), voltage_(pstates_.min().voltage),
+      leak_(pstates_.leakK(), voltage_, pstates_.temperature()),
       frames_(this, "frames", "frames rendered"),
       pstateChanges_(this, "pstate_changes", "P-state transitions"),
       fpsAvg_(this, "fps", "achieved frame rate")
@@ -23,6 +24,7 @@ GfxEngine::setPState(const power::PState &state)
 {
     if (state.freq != freq_ || state.voltage != voltage_)
         ++pstateChanges_;
+    leak_.setVoltage(state.voltage);
     freq_ = state.freq;
     voltage_ = state.voltage;
 }
@@ -75,14 +77,11 @@ GfxEngine::render(const GfxWork &work, BytesPerSec granted_bw,
 Watt
 GfxEngine::power(const GfxWork &work) const
 {
-    const Watt leak =
-        power::leakagePower(pstates_.leakK(), voltage_,
-                            pstates_.temperature());
     if (work.idle())
-        return leak;
+        return leak_.watts();
     return power::dynamicPower(pstates_.cdyn(), voltage_, freq_,
                                work.activity) +
-           leak;
+           leak_.watts();
 }
 
 void
@@ -97,6 +96,7 @@ GfxEngine::loadState(SnapshotReader &r)
 {
     freq_ = r.getDouble("freq");
     voltage_ = r.getDouble("voltage");
+    leak_.setVoltage(voltage_);
 }
 
 } // namespace compute

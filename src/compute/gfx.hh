@@ -104,6 +104,7 @@ class GfxEngine : public SimObject
     power::PStateTable pstates_;
     Hertz freq_;
     Volt voltage_;
+    power::RailLeakage leak_; //!< Leakage at voltage_.
 
     stats::Scalar frames_;
     stats::Scalar pstateChanges_;

@@ -11,6 +11,7 @@ namespace compute {
 
 Llc::Llc(Simulator &sim, SimObject *parent, std::size_t capacity_bytes)
     : SimObject(sim, parent, "llc"), capacityBytes_(capacity_bytes),
+      leak_(kLeakK, 0.0, 50.0),
       cpuMisses_(this, "cpu_misses", "CPU-side LLC misses"),
       gfxMisses_(this, "gfx_misses", "graphics-side LLC misses"),
       stallCycles_(this, "stall_cycles",
@@ -42,14 +43,14 @@ Llc::recordInterval(double cpu_misses, double gfx_misses,
 }
 
 Watt
-Llc::power(Volt voltage, double utilization) const
+Llc::power(Volt voltage, double utilization)
 {
     SYSSCALE_ASSERT(utilization >= 0.0 && utilization <= 1.0,
                     "LLC utilization %.3f out of [0,1]", utilization);
     const Watt dynamic = power::dynamicPower(
         kCdynFarad, voltage, kAccessClock, 0.1 + 0.9 * utilization);
-    const Watt leak = power::leakagePower(kLeakK, voltage, 50.0);
-    return dynamic + leak;
+    leak_.setVoltage(voltage);
+    return dynamic + leak_.watts();
 }
 
 void

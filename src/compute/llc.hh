@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "power/power_model.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
 
@@ -59,8 +60,12 @@ class Llc : public SimObject
     double lastPendingOccupancy() const { return lastOccupancy_; }
     /** @} */
 
-    /** Cache power at @p voltage with @p utilization. */
-    Watt power(Volt voltage, double utilization) const;
+    /**
+     * Cache power at @p voltage with @p utilization. The cache has no
+     * rail of its own (it sits on VCore), so its leakage follows the
+     * voltage it is handed and is recomputed only when that moves.
+     */
+    Watt power(Volt voltage, double utilization);
 
     /** Leakage coefficient of the array at (0.8V, 50C). */
     static constexpr double kLeakK = 0.080;
@@ -81,6 +86,7 @@ class Llc : public SimObject
     double lastGfxMisses_ = 0.0;
     double lastStallCycles_ = 0.0;
     double lastOccupancy_ = 0.0;
+    power::RailLeakage leak_; //!< At the last voltage handed in.
 
     stats::Scalar cpuMisses_;
     stats::Scalar gfxMisses_;

@@ -246,11 +246,24 @@ WorkQueue::enqueueEntry(const exp::ExperimentSpec &spec,
 {
     const std::string key = entryKey(baseKey, step, index);
 
+    // A failure marker that does not decode as this cell's error row
+    // would otherwise wedge the cell: counted as failed here, absent
+    // to failedResult(). Quarantine it (and its retained entry) so
+    // the cell runs again.
+    std::error_code ec;
+    exp::RunResult failed;
+    if (fs::exists(failedPath(baseKey), ec) &&
+        !failedResult(baseKey, failed)) {
+        if (quarantine(failedPath(baseKey),
+                       "undecodable failure marker"))
+            quarantine(failedPath(baseKey) + ".spec",
+                       "entry of an undecodable failure marker");
+    }
+
     // The entry already pending or claimed — or its cell already
     // failed — is a skip. That idempotence is what makes the
     // crash-recovery "enqueue successor, then release" order safe to
     // replay.
-    std::error_code ec;
     bool present = fs::exists(pendingPath(key), ec) ||
                    fs::exists(failedPath(baseKey), ec);
     if (!present) {

@@ -200,7 +200,9 @@ class WorkQueue
     /**
      * Put @p spec into pending/ (atomic write) and return its key.
      * A cell already pending, claimed, or failed is skipped (its key
-     * is still returned). Throws std::invalid_argument for specs
+     * is still returned). A failure marker that does not decode as
+     * the cell's error row is quarantined with its retained entry,
+     * and the cell is enqueued. Throws std::invalid_argument for specs
      * carrying runtime hooks (governorFactory/borrowedPolicy), which
      * cannot be serialized.
      */

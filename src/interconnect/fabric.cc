@@ -10,10 +10,27 @@
 namespace sysscale {
 namespace interconnect {
 
+namespace {
+
+/** Fabric power at a given point, with its leakage supplied. */
+Watt
+fabricPowerWith(Volt v_sa, Hertz freq, double utilization, Watt leak_w)
+{
+    SYSSCALE_ASSERT(utilization >= 0.0 && utilization <= 1.0,
+                    "fabric utilization %.3f out of [0,1]",
+                    utilization);
+    const double activity = 0.20 + 0.80 * utilization;
+    const Watt dynamic = power::dynamicPower(IoFabric::kCdynFarad,
+                                             v_sa, freq, activity);
+    return dynamic + leak_w;
+}
+
+} // anonymous namespace
+
 IoFabric::IoFabric(Simulator &sim, SimObject *parent, Hertz freq,
                    Volt v_sa, std::size_t link_bytes)
     : SimObject(sim, parent, "fabric"), freq_(freq), vsa_(v_sa),
-      linkBytes_(link_bytes),
+      leak_(kLeakK, v_sa, 50.0), linkBytes_(link_bytes),
       transferredBytes_(this, "transferred_bytes",
                         "total bytes across the fabric"),
       qosViolations_(this, "qos_violations",
@@ -44,6 +61,7 @@ IoFabric::setVsa(Volt v)
 {
     SYSSCALE_ASSERT(v > 0.0, "non-positive V_SA %.3f", v);
     vsa_ = v;
+    leak_.setVoltage(v);
 }
 
 BytesPerSec
@@ -119,20 +137,14 @@ IoFabric::service(const FabricDemand &demand, Tick interval)
 Watt
 IoFabric::power(double utilization) const
 {
-    return powerAt(vsa_, freq_, utilization);
+    return fabricPowerWith(vsa_, freq_, utilization, leak_.watts());
 }
 
 Watt
 IoFabric::powerAt(Volt v_sa, Hertz freq, double utilization)
 {
-    SYSSCALE_ASSERT(utilization >= 0.0 && utilization <= 1.0,
-                    "fabric utilization %.3f out of [0,1]",
-                    utilization);
-    const double activity = 0.20 + 0.80 * utilization;
-    const Watt dynamic =
-        power::dynamicPower(kCdynFarad, v_sa, freq, activity);
-    const Watt leak = power::leakagePower(kLeakK, v_sa, 50.0);
-    return dynamic + leak;
+    return fabricPowerWith(v_sa, freq, utilization,
+                           power::leakagePower(kLeakK, v_sa, 50.0));
 }
 
 void
@@ -150,6 +162,7 @@ IoFabric::loadState(SnapshotReader &r)
     // Direct restore: setFrequency() asserts a blocked fabric.
     freq_ = r.getDouble("freq");
     vsa_ = r.getDouble("v_sa");
+    leak_.setVoltage(vsa_);
     blocked_ = r.getBool("blocked");
     lastUtilization_ = r.getDouble("last_utilization");
 }

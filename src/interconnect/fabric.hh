@@ -17,6 +17,7 @@
 #ifndef SYSSCALE_INTERCONNECT_FABRIC_HH
 #define SYSSCALE_INTERCONNECT_FABRIC_HH
 
+#include "power/power_model.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
 
@@ -111,6 +112,9 @@ class IoFabric : public SimObject
     /** Average fabric power at @p utilization. */
     Watt power(double utilization) const;
 
+    /** Fabric leakage at the current V_SA (set with the rail). */
+    Watt leakage() const { return leak_.watts(); }
+
     /**
      * Fabric power at an arbitrary (voltage, clock, utilization)
      * triple — used by budget arithmetic to cost operating points.
@@ -143,6 +147,7 @@ class IoFabric : public SimObject
   private:
     Hertz freq_;
     Volt vsa_;
+    power::RailLeakage leak_; //!< Fabric leakage at vsa_.
     std::size_t linkBytes_;
     bool blocked_ = false;
     double lastUtilization_ = 0.0;

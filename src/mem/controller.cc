@@ -10,11 +10,29 @@
 namespace sysscale {
 namespace mem {
 
+namespace {
+
+/** Controller power at a given point, with its leakage supplied. */
+Watt
+controllerPowerWith(Volt v_sa, Hertz clock, double utilization,
+                    Watt leak_w)
+{
+    SYSSCALE_ASSERT(utilization >= 0.0 && utilization <= 1.0,
+                    "MC utilization %.3f out of [0,1]", utilization);
+    const double activity = 0.25 + 0.75 * utilization;
+    const Watt dynamic = power::dynamicPower(
+        MemoryController::kCdynFarad, v_sa, clock, activity);
+    return dynamic + leak_w;
+}
+
+} // anonymous namespace
+
 MemoryController::MemoryController(Simulator &sim, SimObject *parent,
                                    dram::DramDevice &device,
                                    const MrcStore &mrc, Volt v_sa)
     : SimObject(sim, parent, "mc"), device_(device),
       ddrio_(device.spec(), /*v_io=*/1.0), vsa_(v_sa),
+      leak_(kLeakK, v_sa, 50.0),
       servicedBytes_(this, "serviced_bytes", "total bytes serviced"),
       qosViolations_(this, "qos_violations",
                      "intervals with isochronous demand unmet"),
@@ -52,6 +70,7 @@ MemoryController::setVsa(Volt v)
 {
     SYSSCALE_ASSERT(v > 0.0, "non-positive V_SA %.3f", v);
     vsa_ = v;
+    leak_.setVoltage(v);
 }
 
 Tick
@@ -177,19 +196,15 @@ MemoryController::service(const MemDemand &demand, Tick interval)
 Watt
 MemoryController::controllerPower(double utilization) const
 {
-    return powerAt(vsa_, clock(), utilization);
+    return controllerPowerWith(vsa_, clock(), utilization,
+                               leak_.watts());
 }
 
 Watt
 MemoryController::powerAt(Volt v_sa, Hertz clock, double utilization)
 {
-    SYSSCALE_ASSERT(utilization >= 0.0 && utilization <= 1.0,
-                    "MC utilization %.3f out of [0,1]", utilization);
-    const double activity = 0.25 + 0.75 * utilization;
-    const Watt dynamic =
-        power::dynamicPower(kCdynFarad, v_sa, clock, activity);
-    const Watt leak = power::leakagePower(kLeakK, v_sa, 50.0);
-    return dynamic + leak;
+    return controllerPowerWith(v_sa, clock, utilization,
+                               power::leakagePower(kLeakK, v_sa, 50.0));
 }
 
 Watt
@@ -251,6 +266,7 @@ MemoryController::loadState(SnapshotReader &r)
     regs_.ddrioActivityFactor = r.getDouble("ddrio_activity_factor");
     r.pop();
     vsa_ = r.getDouble("v_sa");
+    leak_.setVoltage(vsa_);
     blocked_ = r.getBool("blocked");
     lastUtilization_ = r.getDouble("last_utilization");
     lastDramPower_ = r.getDouble("last_dram_power");

@@ -23,6 +23,7 @@
 #include "dram/device.hh"
 #include "mem/ddrio.hh"
 #include "mem/mrc.hh"
+#include "power/power_model.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
 
@@ -154,6 +155,9 @@ class MemoryController : public SimObject
     /** Average controller power over an interval at @p utilization. */
     Watt controllerPower(double utilization) const;
 
+    /** Controller leakage at the current V_SA (set with the rail). */
+    Watt leakage() const { return leak_.watts(); }
+
     /**
      * Controller power at an arbitrary (voltage, clock, utilization)
      * triple — used by budget arithmetic to cost operating points
@@ -206,6 +210,7 @@ class MemoryController : public SimObject
     Ddrio ddrio_;
     MrcRegisterSet regs_;
     Volt vsa_;
+    power::RailLeakage leak_; //!< Controller leakage at vsa_.
     bool blocked_ = false;
     double lastUtilization_ = 0.0;
     Watt lastDramPower_ = 0.0;

@@ -8,7 +8,8 @@ namespace mem {
 
 Ddrio::Ddrio(const dram::DramSpec &spec, Volt v_io, double cdyn_farad,
              double leak_k)
-    : spec_(spec), vio_(v_io), cdyn_(cdyn_farad), leakK_(leak_k)
+    : spec_(spec), vio_(v_io), cdyn_(cdyn_farad),
+      leak_(leak_k, v_io, 50.0)
 {
     if (v_io <= 0.0)
         SYSSCALE_FATAL("Ddrio: non-positive V_IO %.3f", v_io);
@@ -27,6 +28,7 @@ Ddrio::setVio(Volt v)
 {
     SYSSCALE_ASSERT(v > 0.0, "Ddrio: non-positive V_IO %.3f", v);
     vio_ = v;
+    leak_.setVoltage(v);
 }
 
 Hertz
@@ -47,8 +49,7 @@ Ddrio::digitalPower(double utilization, double activity_factor) const
         (0.30 + 0.70 * utilization) * activity_factor;
     const Watt dynamic =
         power::dynamicPower(cdyn_, vio_, clock(), activity);
-    const Watt leak = power::leakagePower(leakK_, vio_, 50.0);
-    return dynamic + leak;
+    return dynamic + leak_.watts();
 }
 
 Watt

@@ -18,6 +18,7 @@
 #define SYSSCALE_MEM_DDRIO_HH
 
 #include "dram/spec.hh"
+#include "power/power_model.hh"
 #include "sim/types.hh"
 
 namespace sysscale {
@@ -59,6 +60,9 @@ class Ddrio
     Watt digitalPower(double utilization,
                       double activity_factor = 1.0) const;
 
+    /** Digital-rail leakage at the current V_IO (set with the rail). */
+    Watt leakage() const { return leak_.watts(); }
+
     /**
      * DLL/PLL relock latency after a frequency change. The SysScale
      * flow overlaps this with the fabric PLL relock (Fig. 5, step 6).
@@ -79,7 +83,7 @@ class Ddrio
     dram::DramSpec spec_;
     Volt vio_;
     double cdyn_;
-    double leakK_;
+    power::RailLeakage leak_; //!< Digital leakage at vio_.
     std::size_t binIndex_ = dram::DramSpec::kDefaultBin;
 };
 

@@ -49,6 +49,33 @@ double edp(Joule energy, double delay_seconds);
 double ed2p(Joule energy, double delay_seconds);
 
 /**
+ * A domain's leakage at its current voltage, computed when the voltage
+ * is set rather than on every power query. The previous voltage's
+ * value is kept too, so a domain that alternates between two
+ * operating points (a DVFS flow going low and back high, a PBM grant
+ * toggling between neighbouring P-states) never calls exp() again.
+ * watts() is always bit-identical to leakagePower(k, voltage, temp).
+ */
+class RailLeakage
+{
+  public:
+    RailLeakage(double k_watt, Volt v, Celsius temp_c);
+
+    /** Move to @p v; recomputes only for a voltage not just held. */
+    void setVoltage(Volt v);
+
+    Watt watts() const { return watts_; }
+
+  private:
+    double kWatt_;
+    Celsius tempC_;
+    Volt volt_;
+    Watt watts_;
+    Volt prevVolt_;
+    Watt prevWatts_;
+};
+
+/**
  * One DVFS operating point of a compute unit (a P-state).
  */
 struct PState
@@ -62,6 +89,13 @@ struct PState
  * A P-state table built from a VfCurve and a Cdyn/leakage
  * characterization, used by the power budget manager to trade budget
  * for frequency.
+ *
+ * The temperature is fixed at construction, so each state's leakage
+ * and dynamic base (Cdyn * V^2 * f) are computed once and the budget
+ * queries are table lookups. The constructor checks that frequency
+ * and both terms are non-decreasing across the states; power at any
+ * activity in [0, 2] is then non-decreasing too, and the states that
+ * fit a budget form a prefix of the table.
  */
 class PStateTable
 {
@@ -80,17 +114,18 @@ class PStateTable
     PStateTable(const VfCurve &curve, double cdyn_farad, double leak_k,
                 Celsius temp_c, std::size_t steps);
 
-    /** Power drawn at @p freq with @p activity (interpolated). */
+    /**
+     * Power drawn at @p freq with @p activity (interpolated). A
+     * frequency that is exactly a state's reads that state's cached
+     * terms; the bits are the same as computing them afresh.
+     */
     Watt powerAt(Hertz freq, double activity) const;
 
     /**
-     * Highest P-state whose full-activity power fits @p budget.
+     * Highest P-state whose power at @p activity fits @p budget.
      * Returns the lowest state if nothing fits (the unit cannot be
      * turned off by the budget manager; C-states handle idling).
      */
-    const PState &highestUnder(Watt budget) const;
-
-    /** Highest P-state fitting @p budget at a given activity. */
     const PState &highestUnder(Watt budget, double activity) const;
 
     const std::vector<PState> &states() const { return states_; }
@@ -102,7 +137,22 @@ class PStateTable
     Celsius temperature() const { return tempC_; }
 
   private:
+    /** Power terms of one state, fixed at construction. */
+    struct StateTerms
+    {
+        Watt dynBaseW; //!< dynamicPower() at activity 1.
+        Watt leakW;    //!< leakagePower() at the table temperature.
+
+        /** dynamicPower() + leakagePower(), bit for bit. */
+        Watt
+        at(double activity) const
+        {
+            return dynBaseW * activity + leakW;
+        }
+    };
+
     std::vector<PState> states_;
+    std::vector<StateTerms> terms_; //!< Parallel to states_.
     double cdyn_ = 0.0;
     double leakK_ = 0.0;
     Celsius tempC_ = 50.0;

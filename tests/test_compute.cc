@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "compute/cpu.hh"
 #include "compute/cstates.hh"
 #include "compute/gfx.hh"
@@ -29,6 +32,17 @@ gfxTable()
     return power::PStateTable(power::skylakeGfxCurve(), 1.5e-9, 0.22,
                               50.0, 28);
 }
+
+std::uint64_t
+bits(double v)
+{
+    std::uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+}
+
+/** State indices that move up, down and repeat (no voltage move). */
+constexpr std::size_t kStateWalk[] = {5, 27, 27, 0, 13, 13, 1, 0};
 
 TEST(Cpu, IpcMatchesIntervalModel)
 {
@@ -120,6 +134,28 @@ TEST(Cpu, PowerGrowsWithThreadsAndSmtYieldsLess)
     EXPECT_LT(four - two, two - cpu.leakage());
 }
 
+TEST(Cpu, CachedLeakageMatchesAFreshComputation)
+{
+    Simulator sim;
+    CpuCluster cpu(sim, nullptr, 2, 2, coreTable());
+    const auto fresh = [&cpu] {
+        return power::leakagePower(cpu.pstates().leakK(), cpu.voltage(),
+                                   cpu.pstates().temperature()) *
+               2.0;
+    };
+    EXPECT_EQ(bits(cpu.leakage()), bits(fresh()));
+    for (const std::size_t i : kStateWalk) {
+        cpu.setPState(cpu.pstates().states()[i]);
+        EXPECT_EQ(bits(cpu.leakage()), bits(fresh())) << "state " << i;
+        const Watt dyn = power::dynamicPower(
+            cpu.pstates().cdyn(), cpu.voltage(), cpu.frequency(), 0.8);
+        EXPECT_EQ(bits(cpu.power(3, 0.8)),
+                  bits(dyn * (2.0 + (CpuCluster::kSmtYield - 1.0)) +
+                       fresh()))
+            << "state " << i;
+    }
+}
+
 TEST(Gfx, FpsIsMinOfShaderAndBandwidth)
 {
     Simulator sim;
@@ -160,6 +196,29 @@ TEST(Gfx, IdleWorkDrawsLeakageOnly)
     EXPECT_LT(gfx.power(idle), gfx.power(busy));
 }
 
+TEST(Gfx, CachedLeakageMatchesAFreshComputation)
+{
+    Simulator sim;
+    GfxEngine gfx(sim, nullptr, gfxTable());
+    const GfxWork busy{15e6, 100e6, 0.0, 0.8};
+    const auto fresh = [&gfx] {
+        return power::leakagePower(gfx.pstates().leakK(), gfx.voltage(),
+                                   gfx.pstates().temperature());
+    };
+    EXPECT_EQ(bits(gfx.power(GfxWork{})), bits(fresh()));
+    for (const std::size_t i : kStateWalk) {
+        gfx.setPState(gfx.pstates().states()[i]);
+        EXPECT_EQ(bits(gfx.power(GfxWork{})), bits(fresh()))
+            << "state " << i;
+        EXPECT_EQ(bits(gfx.power(busy)),
+                  bits(power::dynamicPower(gfx.pstates().cdyn(),
+                                           gfx.voltage(),
+                                           gfx.frequency(), 0.8) +
+                       fresh()))
+            << "state " << i;
+    }
+}
+
 TEST(Llc, MissScaleFollowsSquareRootRule)
 {
     Simulator sim;
@@ -179,6 +238,22 @@ TEST(Llc, RecordsCounterObservables)
     EXPECT_DOUBLE_EQ(llc.lastGfxMisses(), 50.0);
     EXPECT_DOUBLE_EQ(llc.lastStallCycles(), 2000.0);
     EXPECT_DOUBLE_EQ(llc.lastPendingOccupancy(), 7.5);
+}
+
+TEST(Llc, PowerMatchesAFreshComputationAsTheVoltageMoves)
+{
+    Simulator sim;
+    Llc llc(sim, nullptr, 4 * 1024 * 1024);
+    for (const Volt v : {0.70, 0.70, 0.95, 0.70, 0.55, 0.55}) {
+        for (const double u : {0.0, 0.3, 1.0}) {
+            const Watt ref =
+                power::dynamicPower(Llc::kCdynFarad, v,
+                                    Llc::kAccessClock, 0.1 + 0.9 * u) +
+                power::leakagePower(Llc::kLeakK, v, 50.0);
+            EXPECT_EQ(bits(llc.power(v, u)), bits(ref))
+                << "v " << v << " u " << u;
+        }
+    }
 }
 
 TEST(CStates, ResidencyMustSumToOne)

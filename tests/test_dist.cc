@@ -287,6 +287,40 @@ TEST(WorkQueue, CorruptPendingFilesNeverProduceAClaim)
     EXPECT_EQ(quarantined, 3u);
 }
 
+TEST(WorkQueue, DamagedFailureMarkerIsQuarantinedAndTheCellRequeued)
+{
+    const TempDir dir("damaged-marker");
+    dist::WorkQueue queue(dir.sub("q"));
+    const exp::ExperimentSpec spec = fastSpec("cell");
+    const std::string key = exp::specKey(spec);
+    {
+        std::ofstream os(queue.failedPath(key), std::ios::binary);
+        os << "junk";
+    }
+
+    // Counted as a skip, the damaged marker would wedge the cell:
+    // failedResult() cannot read it, so no dispatcher resolves it.
+    EXPECT_EQ(queue.enqueue(spec), key);
+    EXPECT_EQ(queue.counters().enqueued, 1u);
+    EXPECT_EQ(queue.counters().skipped, 0u);
+    EXPECT_EQ(queue.counters().corrupt, 1u);
+    EXPECT_TRUE(std::filesystem::exists(queue.pendingPath(key)));
+    EXPECT_FALSE(std::filesystem::exists(queue.failedPath(key)));
+    EXPECT_EQ(queue.scan().pending, 1u);
+
+    // A marker that does decode still resolves the cell: a skip.
+    dist::Claim claim;
+    ASSERT_TRUE(queue.tryClaim("w1", claim));
+    exp::RunResult res;
+    res.governor = "fixed";
+    res.error = "deliberate failure";
+    queue.fail(claim, res);
+    EXPECT_EQ(queue.enqueue(spec), key);
+    EXPECT_EQ(queue.counters().skipped, 1u);
+    EXPECT_EQ(queue.counters().corrupt, 1u);
+    EXPECT_EQ(queue.scan().pending, 0u);
+}
+
 TEST(Worker, DrainsAQueueThroughTheSharedCache)
 {
     const TempDir dir("drain");

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "interconnect/fabric.hh"
 #include "io/csr.hh"
 #include "io/display.hh"
 #include "io/dma.hh"
 #include "io/isp.hh"
+#include "power/power_model.hh"
 #include "sim/sim_object.hh"
 
 namespace sysscale {
@@ -70,6 +74,30 @@ TEST(Fabric, PowerDropsWithVoltageAndClock)
 {
     EXPECT_LT(interconnect::IoFabric::powerAt(0.64, 0.4e9, 0.3),
               interconnect::IoFabric::powerAt(0.80, 0.8e9, 0.3));
+}
+
+TEST(Fabric, CachedLeakageMatchesAFreshComputation)
+{
+    const auto bits = [](double v) {
+        std::uint64_t u = 0;
+        std::memcpy(&u, &v, sizeof(u));
+        return u;
+    };
+    Simulator sim;
+    interconnect::IoFabric fab(sim, nullptr, 0.8 * kGHz, 0.8);
+    using interconnect::IoFabric;
+    EXPECT_EQ(bits(fab.leakage()),
+              bits(power::leakagePower(IoFabric::kLeakK, 0.8, 50.0)));
+    for (const Volt v : {0.64, 0.64, 0.80, 0.70}) {
+        fab.setVsa(v);
+        EXPECT_EQ(bits(fab.leakage()),
+                  bits(power::leakagePower(IoFabric::kLeakK, v, 50.0)));
+        for (const double u : {0.0, 0.3, 1.0}) {
+            EXPECT_EQ(bits(fab.power(u)),
+                      bits(IoFabric::powerAt(v, fab.frequency(), u)))
+                << "v " << v << " u " << u;
+        }
+    }
 }
 
 TEST(Csr, DefineReadWriteReset)

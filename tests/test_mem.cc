@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "dram/device.hh"
 #include "mem/controller.hh"
 #include "mem/ddrio.hh"
 #include "mem/mrc.hh"
+#include "power/power_model.hh"
 #include "sim/sim_object.hh"
 
 namespace sysscale {
@@ -57,6 +61,35 @@ TEST(Mrc, CrossBinSameBinIsOptimized)
     const MrcStore store(dram::lpddr3Spec());
     const MrcRegisterSet same = store.crossBinSet(1, 1);
     EXPECT_TRUE(same.optimized());
+}
+
+std::uint64_t
+bits(double v)
+{
+    std::uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof(u));
+    return u;
+}
+
+/** V_IO / V_SA values that move, repeat, and return. */
+constexpr Volt kRailWalk[] = {0.85, 0.85, 1.00, 0.68, 0.85};
+
+TEST(Ddrio, CachedLeakageMatchesAFreshComputation)
+{
+    // The default coefficients are the ones powerAt() hard-codes.
+    Ddrio d(dram::lpddr3Spec(), 1.0);
+    EXPECT_EQ(bits(d.leakage()),
+              bits(power::leakagePower(0.245, 1.0, 50.0)));
+    for (const Volt v : kRailWalk) {
+        d.setVio(v);
+        EXPECT_EQ(bits(d.leakage()),
+                  bits(power::leakagePower(0.245, v, 50.0)));
+        for (const double u : {0.0, 0.4, 1.0}) {
+            EXPECT_EQ(bits(d.digitalPower(u, 1.35)),
+                      bits(Ddrio::powerAt(v, d.clock(), u, 1.35)))
+                << "v " << v << " u " << u;
+        }
+    }
 }
 
 TEST(Ddrio, PowerScalesWithVoltageSquared)
@@ -204,6 +237,25 @@ TEST_F(ControllerTest, UnoptimizedRegistersShrinkCapacity)
     const BytesPerSec trained = 1066.0 * 1e6 * 16.0 * 0.90;
     EXPECT_LT(mc_.capacity(), trained);
     EXPECT_GT(mc_.baseLatencyNs(), 0.0);
+}
+
+TEST_F(ControllerTest, CachedLeakageMatchesAFreshComputation)
+{
+    EXPECT_EQ(bits(mc_.leakage()),
+              bits(power::leakagePower(MemoryController::kLeakK, 0.80,
+                                       50.0)));
+    for (const Volt v : kRailWalk) {
+        mc_.setVsa(v);
+        EXPECT_EQ(bits(mc_.leakage()),
+                  bits(power::leakagePower(MemoryController::kLeakK, v,
+                                           50.0)));
+        for (const double u : {0.0, 0.4, 1.0}) {
+            EXPECT_EQ(
+                bits(mc_.controllerPower(u)),
+                bits(MemoryController::powerAt(v, mc_.clock(), u)))
+                << "v " << v << " u " << u;
+        }
+    }
 }
 
 TEST_F(ControllerTest, PowerDropsWithVoltageAndClock)

@@ -31,6 +31,7 @@
 
 #include "exp/experiment.hh"
 #include "exp/spec_codec.hh"
+#include "power/power_model.hh"
 #include "sim/snapshot.hh"
 #include "soc/soc.hh"
 #include "workloads/battery.hh"
@@ -650,6 +651,63 @@ TEST(SnapshotSlice, TracedSnapshotRestoresIntoUntracedCell)
     expectSameMetrics(reference.metrics, traced_run.metrics,
                       "untraced->traced");
     EXPECT_EQ(reference.statsDump, traced_run.statsDump);
+}
+
+TEST(SnapshotDomains, RestoredLeakageMatchesAFreshComputation)
+{
+    // Each domain keeps its leakage as a member set with its voltage;
+    // a restore must recompute it, not keep the boot value.
+    const soc::SocConfig cfg = soc::skylakeConfig();
+    const auto domains = [](soc::Soc &chip) {
+        return std::vector<SimObject *>{&chip.cpu(), &chip.gfx(),
+                                        &chip.mc(), &chip.fabric()};
+    };
+
+    Simulator sim_a;
+    soc::Soc a(sim_a, cfg);
+    a.cpu().setPState(a.cpu().pstates().states()[17]);
+    a.gfx().setPState(a.gfx().pstates().states()[9]);
+    a.mc().setVsa(0.68);
+    a.fabric().setVsa(0.68);
+    a.mc().ddrio().setVio(0.85);
+    SnapshotWriter w("domains", 0);
+    for (SimObject *obj : domains(a)) {
+        w.push(obj->name());
+        obj->saveState(w);
+        w.pop();
+    }
+
+    Simulator sim_b;
+    soc::Soc b(sim_b, cfg);
+    SnapshotReader r(w.str());
+    for (SimObject *obj : domains(b)) {
+        r.push(obj->name());
+        obj->loadState(r);
+        r.pop();
+    }
+    r.finish();
+
+    const compute::CpuCluster &cpu = b.cpu();
+    EXPECT_EQ(bits(cpu.voltage()), bits(a.cpu().voltage()));
+    EXPECT_EQ(bits(cpu.leakage()),
+              bits(power::leakagePower(cpu.pstates().leakK(),
+                                       cpu.voltage(),
+                                       cpu.pstates().temperature()) *
+                   static_cast<double>(cpu.numCores())));
+    const compute::GfxEngine &gfx = b.gfx();
+    EXPECT_EQ(bits(gfx.voltage()), bits(a.gfx().voltage()));
+    EXPECT_EQ(bits(gfx.power(compute::GfxWork{})),
+              bits(power::leakagePower(gfx.pstates().leakK(),
+                                       gfx.voltage(),
+                                       gfx.pstates().temperature())));
+    EXPECT_EQ(bits(b.mc().leakage()),
+              bits(power::leakagePower(mem::MemoryController::kLeakK,
+                                       0.68, 50.0)));
+    EXPECT_EQ(bits(b.fabric().leakage()),
+              bits(power::leakagePower(
+                  interconnect::IoFabric::kLeakK, 0.68, 50.0)));
+    EXPECT_EQ(bits(b.mc().ddrio().leakage()),
+              bits(power::leakagePower(0.245, 0.85, 50.0)));
 }
 
 TEST(SnapshotSlice, SliceArgumentValidation)
