@@ -15,7 +15,7 @@ CpuCluster::CpuCluster(Simulator &sim, SimObject *parent,
     : SimObject(sim, parent, "cpu"), cores_(cores),
       threadsPerCore_(threads_per_core), pstates_(std::move(pstates)),
       freq_(pstates_.min().freq), voltage_(pstates_.min().voltage),
-      leak_(pstates_.leakK(), voltage_, pstates_.temperature()),
+      leakW_(pstates_.leakageAt(voltage_)),
       instructions_(this, "instructions", "instructions retired"),
       stallCycles_(this, "stall_cycles", "cycles stalled on misses"),
       pstateChanges_(this, "pstate_changes", "P-state transitions")
@@ -29,9 +29,9 @@ CpuCluster::setPState(const power::PState &state)
 {
     if (state.freq != freq_ || state.voltage != voltage_)
         ++pstateChanges_;
-    leak_.setVoltage(state.voltage);
     freq_ = state.freq;
     voltage_ = state.voltage;
+    leakW_ = pstates_.leakageAt(voltage_);
 }
 
 double
@@ -131,7 +131,7 @@ CpuCluster::loadState(SnapshotReader &r)
     // P-state transition that never happened.
     freq_ = r.getDouble("freq");
     voltage_ = r.getDouble("voltage");
-    leak_.setVoltage(voltage_);
+    leakW_ = pstates_.leakageAt(voltage_);
 }
 
 } // namespace compute

@@ -133,13 +133,13 @@ class CpuCluster : public SimObject
     Watt power(std::size_t active_threads, double activity) const;
 
     /**
-     * Leakage of the whole cluster at the current voltage; computed
-     * when the voltage is set, not per call.
+     * Leakage of the whole cluster at the current voltage, from the
+     * per-core value the P-state table cached for it.
      */
     Watt
     leakage() const
     {
-        return leak_.watts() * static_cast<double>(cores_);
+        return leakW_ * static_cast<double>(cores_);
     }
 
     /** Instructions retired since construction. */
@@ -159,7 +159,7 @@ class CpuCluster : public SimObject
     power::PStateTable pstates_;
     Hertz freq_;
     Volt voltage_;
-    power::RailLeakage leak_; //!< Per-core leakage at voltage_.
+    Watt leakW_; //!< Per-core leakage at voltage_.
 
     stats::Scalar instructions_;
     stats::Scalar stallCycles_;

@@ -12,7 +12,7 @@ GfxEngine::GfxEngine(Simulator &sim, SimObject *parent,
                      power::PStateTable pstates)
     : SimObject(sim, parent, "gfx"), pstates_(std::move(pstates)),
       freq_(pstates_.min().freq), voltage_(pstates_.min().voltage),
-      leak_(pstates_.leakK(), voltage_, pstates_.temperature()),
+      leakW_(pstates_.leakageAt(voltage_)),
       frames_(this, "frames", "frames rendered"),
       pstateChanges_(this, "pstate_changes", "P-state transitions"),
       fpsAvg_(this, "fps", "achieved frame rate")
@@ -24,9 +24,9 @@ GfxEngine::setPState(const power::PState &state)
 {
     if (state.freq != freq_ || state.voltage != voltage_)
         ++pstateChanges_;
-    leak_.setVoltage(state.voltage);
     freq_ = state.freq;
     voltage_ = state.voltage;
+    leakW_ = pstates_.leakageAt(voltage_);
 }
 
 double
@@ -78,10 +78,10 @@ Watt
 GfxEngine::power(const GfxWork &work) const
 {
     if (work.idle())
-        return leak_.watts();
+        return leakW_;
     return power::dynamicPower(pstates_.cdyn(), voltage_, freq_,
                                work.activity) +
-           leak_.watts();
+           leakW_;
 }
 
 void
@@ -96,7 +96,7 @@ GfxEngine::loadState(SnapshotReader &r)
 {
     freq_ = r.getDouble("freq");
     voltage_ = r.getDouble("voltage");
-    leak_.setVoltage(voltage_);
+    leakW_ = pstates_.leakageAt(voltage_);
 }
 
 } // namespace compute

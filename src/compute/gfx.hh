@@ -104,7 +104,7 @@ class GfxEngine : public SimObject
     power::PStateTable pstates_;
     Hertz freq_;
     Volt voltage_;
-    power::RailLeakage leak_; //!< Leakage at voltage_.
+    Watt leakW_; //!< Leakage at voltage_, from the P-state table.
 
     stats::Scalar frames_;
     stats::Scalar pstateChanges_;

@@ -11,7 +11,7 @@ namespace compute {
 
 Llc::Llc(Simulator &sim, SimObject *parent, std::size_t capacity_bytes)
     : SimObject(sim, parent, "llc"), capacityBytes_(capacity_bytes),
-      leak_(kLeakK, 0.0, 50.0),
+      leak_(kLeakK, 50.0),
       cpuMisses_(this, "cpu_misses", "CPU-side LLC misses"),
       gfxMisses_(this, "gfx_misses", "graphics-side LLC misses"),
       stallCycles_(this, "stall_cycles",
@@ -49,8 +49,7 @@ Llc::power(Volt voltage, double utilization)
                     "LLC utilization %.3f out of [0,1]", utilization);
     const Watt dynamic = power::dynamicPower(
         kCdynFarad, voltage, kAccessClock, 0.1 + 0.9 * utilization);
-    leak_.setVoltage(voltage);
-    return dynamic + leak_.watts();
+    return dynamic + leak_.at(voltage);
 }
 
 void

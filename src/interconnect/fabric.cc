@@ -30,7 +30,7 @@ fabricPowerWith(Volt v_sa, Hertz freq, double utilization, Watt leak_w)
 IoFabric::IoFabric(Simulator &sim, SimObject *parent, Hertz freq,
                    Volt v_sa, std::size_t link_bytes)
     : SimObject(sim, parent, "fabric"), freq_(freq), vsa_(v_sa),
-      leak_(kLeakK, v_sa, 50.0), linkBytes_(link_bytes),
+      leak_(kLeakK, 50.0), linkBytes_(link_bytes),
       transferredBytes_(this, "transferred_bytes",
                         "total bytes across the fabric"),
       qosViolations_(this, "qos_violations",
@@ -61,7 +61,6 @@ IoFabric::setVsa(Volt v)
 {
     SYSSCALE_ASSERT(v > 0.0, "non-positive V_SA %.3f", v);
     vsa_ = v;
-    leak_.setVoltage(v);
 }
 
 BytesPerSec
@@ -135,9 +134,9 @@ IoFabric::service(const FabricDemand &demand, Tick interval)
 }
 
 Watt
-IoFabric::power(double utilization) const
+IoFabric::power(double utilization)
 {
-    return fabricPowerWith(vsa_, freq_, utilization, leak_.watts());
+    return fabricPowerWith(vsa_, freq_, utilization, leak_.at(vsa_));
 }
 
 Watt
@@ -162,7 +161,6 @@ IoFabric::loadState(SnapshotReader &r)
     // Direct restore: setFrequency() asserts a blocked fabric.
     freq_ = r.getDouble("freq");
     vsa_ = r.getDouble("v_sa");
-    leak_.setVoltage(vsa_);
     blocked_ = r.getBool("blocked");
     lastUtilization_ = r.getDouble("last_utilization");
 }

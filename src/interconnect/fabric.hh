@@ -109,11 +109,11 @@ class IoFabric : public SimObject
     /** Unloaded transit latency at the current clock. */
     double baseLatencyNs() const;
 
-    /** Average fabric power at @p utilization. */
-    Watt power(double utilization) const;
-
-    /** Fabric leakage at the current V_SA (set with the rail). */
-    Watt leakage() const { return leak_.watts(); }
+    /**
+     * Average fabric power at @p utilization. Not const: leakage is
+     * recomputed here when V_SA has moved.
+     */
+    Watt power(double utilization);
 
     /**
      * Fabric power at an arbitrary (voltage, clock, utilization)
@@ -147,7 +147,7 @@ class IoFabric : public SimObject
   private:
     Hertz freq_;
     Volt vsa_;
-    power::RailLeakage leak_; //!< Fabric leakage at vsa_.
+    power::RailLeakage leak_; //!< Fabric leakage, keyed by V_SA.
     std::size_t linkBytes_;
     bool blocked_ = false;
     double lastUtilization_ = 0.0;

@@ -32,7 +32,7 @@ MemoryController::MemoryController(Simulator &sim, SimObject *parent,
                                    const MrcStore &mrc, Volt v_sa)
     : SimObject(sim, parent, "mc"), device_(device),
       ddrio_(device.spec(), /*v_io=*/1.0), vsa_(v_sa),
-      leak_(kLeakK, v_sa, 50.0),
+      leak_(kLeakK, 50.0),
       servicedBytes_(this, "serviced_bytes", "total bytes serviced"),
       qosViolations_(this, "qos_violations",
                      "intervals with isochronous demand unmet"),
@@ -70,7 +70,6 @@ MemoryController::setVsa(Volt v)
 {
     SYSSCALE_ASSERT(v > 0.0, "non-positive V_SA %.3f", v);
     vsa_ = v;
-    leak_.setVoltage(v);
 }
 
 Tick
@@ -194,10 +193,10 @@ MemoryController::service(const MemDemand &demand, Tick interval)
 }
 
 Watt
-MemoryController::controllerPower(double utilization) const
+MemoryController::controllerPower(double utilization)
 {
     return controllerPowerWith(vsa_, clock(), utilization,
-                               leak_.watts());
+                               leak_.at(vsa_));
 }
 
 Watt
@@ -208,7 +207,7 @@ MemoryController::powerAt(Volt v_sa, Hertz clock, double utilization)
 }
 
 Watt
-MemoryController::ddrioDigitalPower(double utilization) const
+MemoryController::ddrioDigitalPower(double utilization)
 {
     return ddrio_.digitalPower(utilization, regs_.ddrioActivityFactor);
 }
@@ -266,7 +265,6 @@ MemoryController::loadState(SnapshotReader &r)
     regs_.ddrioActivityFactor = r.getDouble("ddrio_activity_factor");
     r.pop();
     vsa_ = r.getDouble("v_sa");
-    leak_.setVoltage(vsa_);
     blocked_ = r.getBool("blocked");
     lastUtilization_ = r.getDouble("last_utilization");
     lastDramPower_ = r.getDouble("last_dram_power");

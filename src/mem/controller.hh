@@ -152,11 +152,11 @@ class MemoryController : public SimObject
      */
     double loadedLatencyAt(double utilization) const;
 
-    /** Average controller power over an interval at @p utilization. */
-    Watt controllerPower(double utilization) const;
-
-    /** Controller leakage at the current V_SA (set with the rail). */
-    Watt leakage() const { return leak_.watts(); }
+    /**
+     * Average controller power over an interval at @p utilization.
+     * Not const: leakage is recomputed here when V_SA has moved.
+     */
+    Watt controllerPower(double utilization);
 
     /**
      * Controller power at an arbitrary (voltage, clock, utilization)
@@ -166,7 +166,7 @@ class MemoryController : public SimObject
     static Watt powerAt(Volt v_sa, Hertz clock, double utilization);
 
     /** DDRIO-digital rail power at @p utilization. */
-    Watt ddrioDigitalPower(double utilization) const;
+    Watt ddrioDigitalPower(double utilization);
 
     /** DRAM + DDRIO-analog (VDDQ rail) power of the last interval. */
     Watt lastDramPower() const { return lastDramPower_; }
@@ -210,7 +210,7 @@ class MemoryController : public SimObject
     Ddrio ddrio_;
     MrcRegisterSet regs_;
     Volt vsa_;
-    power::RailLeakage leak_; //!< Controller leakage at vsa_.
+    power::RailLeakage leak_; //!< Controller leakage, keyed by V_SA.
     bool blocked_ = false;
     double lastUtilization_ = 0.0;
     Watt lastDramPower_ = 0.0;

@@ -9,7 +9,7 @@ namespace mem {
 Ddrio::Ddrio(const dram::DramSpec &spec, Volt v_io, double cdyn_farad,
              double leak_k)
     : spec_(spec), vio_(v_io), cdyn_(cdyn_farad),
-      leak_(leak_k, v_io, 50.0)
+      leak_(leak_k, 50.0)
 {
     if (v_io <= 0.0)
         SYSSCALE_FATAL("Ddrio: non-positive V_IO %.3f", v_io);
@@ -28,7 +28,6 @@ Ddrio::setVio(Volt v)
 {
     SYSSCALE_ASSERT(v > 0.0, "Ddrio: non-positive V_IO %.3f", v);
     vio_ = v;
-    leak_.setVoltage(v);
 }
 
 Hertz
@@ -38,7 +37,7 @@ Ddrio::clock() const
 }
 
 Watt
-Ddrio::digitalPower(double utilization, double activity_factor) const
+Ddrio::digitalPower(double utilization, double activity_factor)
 {
     SYSSCALE_ASSERT(utilization >= 0.0 && utilization <= 1.0,
                     "Ddrio utilization %.3f out of [0,1]", utilization);
@@ -49,7 +48,7 @@ Ddrio::digitalPower(double utilization, double activity_factor) const
         (0.30 + 0.70 * utilization) * activity_factor;
     const Watt dynamic =
         power::dynamicPower(cdyn_, vio_, clock(), activity);
-    return dynamic + leak_.watts();
+    return dynamic + leak_.at(vio_);
 }
 
 Watt

@@ -56,12 +56,11 @@ class Ddrio
      * @param utilization Interface data-bus utilization in [0, 1].
      * @param activity_factor MRC-dependent multiplier (>= 1 when the
      *        registers are unoptimized; see MrcRegisterSet).
+     *
+     * Not const: leakage is recomputed here when V_IO has moved.
      */
     Watt digitalPower(double utilization,
-                      double activity_factor = 1.0) const;
-
-    /** Digital-rail leakage at the current V_IO (set with the rail). */
-    Watt leakage() const { return leak_.watts(); }
+                      double activity_factor = 1.0);
 
     /**
      * DLL/PLL relock latency after a frequency change. The SysScale
@@ -83,7 +82,7 @@ class Ddrio
     dram::DramSpec spec_;
     Volt vio_;
     double cdyn_;
-    power::RailLeakage leak_; //!< Digital leakage at vio_.
+    power::RailLeakage leak_; //!< Digital leakage, keyed by V_IO.
     std::size_t binIndex_ = dram::DramSpec::kDefaultBin;
 };
 

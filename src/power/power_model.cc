@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <utility>
 
 #include "sim/logging.hh"
 
@@ -41,28 +40,20 @@ leakagePower(double k_watt, Volt v, Celsius temp_c, Volt v_ref,
            std::exp(beta_t * (temp_c - t_ref));
 }
 
-RailLeakage::RailLeakage(double k_watt, Volt v, Celsius temp_c)
-    : kWatt_(k_watt), tempC_(temp_c), volt_(v),
-      watts_(leakagePower(k_watt, v, temp_c)),
-      prevVolt_(std::numeric_limits<double>::quiet_NaN()),
-      prevWatts_(0.0)
+RailLeakage::RailLeakage(double k_watt, Celsius temp_c)
+    : kWatt_(k_watt), tempC_(temp_c),
+      volt_(std::numeric_limits<double>::quiet_NaN())
 {
 }
 
-void
-RailLeakage::setVoltage(Volt v)
+Watt
+RailLeakage::at(Volt v)
 {
-    if (v == volt_)
-        return;
-    if (v == prevVolt_) {
-        std::swap(volt_, prevVolt_);
-        std::swap(watts_, prevWatts_);
-        return;
+    if (v != volt_) {
+        volt_ = v;
+        watts_ = leakagePower(kWatt_, v, tempC_);
     }
-    prevVolt_ = volt_;
-    prevWatts_ = watts_;
-    volt_ = v;
-    watts_ = leakagePower(kWatt_, v, tempC_);
+    return watts_;
 }
 
 double
@@ -106,10 +97,12 @@ PStateTable::PStateTable(const VfCurve &curve, double cdyn_farad,
     // rejects NaN terms.
     for (std::size_t i = 1; i < steps; ++i) {
         if (!(states_[i].freq >= states_[i - 1].freq) ||
+            !(states_[i].voltage >= states_[i - 1].voltage) ||
             !(terms_[i].dynBaseW >= terms_[i - 1].dynBaseW) ||
             !(terms_[i].leakW >= terms_[i - 1].leakW)) {
-            SYSSCALE_FATAL("PStateTable: frequency or power terms not "
-                           "non-decreasing from state %zu to %zu",
+            SYSSCALE_FATAL("PStateTable: frequency, voltage or power "
+                           "terms not non-decreasing from state %zu "
+                           "to %zu",
                            i - 1, i);
         }
     }
@@ -144,6 +137,18 @@ PStateTable::highestUnder(Watt budget, double activity) const
         [&](const StateTerms &t) { return t.at(activity) <= budget; });
     const auto n = static_cast<std::size_t>(fit - terms_.begin());
     return states_[n == 0 ? 0 : n - 1];
+}
+
+Watt
+PStateTable::leakageAt(Volt v) const
+{
+    const auto it = std::lower_bound(
+        states_.begin(), states_.end(), v,
+        [](const PState &s, Volt x) { return s.voltage < x; });
+    if (it != states_.end() && it->voltage == v)
+        return terms_[static_cast<std::size_t>(it - states_.begin())]
+            .leakW;
+    return leakagePower(leakK_, v, tempC_);
 }
 
 } // namespace power

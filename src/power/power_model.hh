@@ -49,30 +49,24 @@ double edp(Joule energy, double delay_seconds);
 double ed2p(Joule energy, double delay_seconds);
 
 /**
- * A domain's leakage at its current voltage, computed when the voltage
- * is set rather than on every power query. The previous voltage's
- * value is kept too, so a domain that alternates between two
- * operating points (a DVFS flow going low and back high, a PBM grant
- * toggling between neighbouring P-states) never calls exp() again.
- * watts() is always bit-identical to leakagePower(k, voltage, temp).
+ * Leakage of a rail that is not driven by a P-state table, recomputed
+ * only when the voltage it is asked about moves. Setting the voltage
+ * costs nothing; the first power query after a move pays the exp().
+ * at(v) is always bit-identical to leakagePower(k, v, temp).
  */
 class RailLeakage
 {
   public:
-    RailLeakage(double k_watt, Volt v, Celsius temp_c);
+    RailLeakage(double k_watt, Celsius temp_c);
 
-    /** Move to @p v; recomputes only for a voltage not just held. */
-    void setVoltage(Volt v);
-
-    Watt watts() const { return watts_; }
+    /** Leakage at @p v; reuses the last value when @p v repeats. */
+    Watt at(Volt v);
 
   private:
     double kWatt_;
     Celsius tempC_;
-    Volt volt_;
-    Watt watts_;
-    Volt prevVolt_;
-    Watt prevWatts_;
+    Volt volt_; //!< NaN until the first query.
+    Watt watts_ = 0.0;
 };
 
 /**
@@ -92,10 +86,11 @@ struct PState
  *
  * The temperature is fixed at construction, so each state's leakage
  * and dynamic base (Cdyn * V^2 * f) are computed once and the budget
- * queries are table lookups. The constructor checks that frequency
- * and both terms are non-decreasing across the states; power at any
- * activity in [0, 2] is then non-decreasing too, and the states that
- * fit a budget form a prefix of the table.
+ * queries are table lookups. The constructor checks that frequency,
+ * voltage and both terms are non-decreasing across the states; power
+ * at any activity in [0, 2] is then non-decreasing too, the states
+ * that fit a budget form a prefix of the table, and a voltage names
+ * the leakage of the states that share it.
  */
 class PStateTable
 {
@@ -127,6 +122,12 @@ class PStateTable
      * turned off by the budget manager; C-states handle idling).
      */
     const PState &highestUnder(Watt budget, double activity) const;
+
+    /**
+     * Leakage at @p v: a state's cached value when @p v is exactly a
+     * state's voltage, computed afresh otherwise.
+     */
+    Watt leakageAt(Volt v) const;
 
     const std::vector<PState> &states() const { return states_; }
     const PState &min() const { return states_.front(); }

@@ -12,7 +12,6 @@
 #include "mem/controller.hh"
 #include "mem/ddrio.hh"
 #include "mem/mrc.hh"
-#include "power/power_model.hh"
 #include "sim/sim_object.hh"
 
 namespace sysscale {
@@ -78,12 +77,10 @@ TEST(Ddrio, CachedLeakageMatchesAFreshComputation)
 {
     // The default coefficients are the ones powerAt() hard-codes.
     Ddrio d(dram::lpddr3Spec(), 1.0);
-    EXPECT_EQ(bits(d.leakage()),
-              bits(power::leakagePower(0.245, 1.0, 50.0)));
+    EXPECT_EQ(bits(d.digitalPower(0.4, 1.35)),
+              bits(Ddrio::powerAt(1.0, d.clock(), 0.4, 1.35)));
     for (const Volt v : kRailWalk) {
         d.setVio(v);
-        EXPECT_EQ(bits(d.leakage()),
-                  bits(power::leakagePower(0.245, v, 50.0)));
         for (const double u : {0.0, 0.4, 1.0}) {
             EXPECT_EQ(bits(d.digitalPower(u, 1.35)),
                       bits(Ddrio::powerAt(v, d.clock(), u, 1.35)))
@@ -241,14 +238,10 @@ TEST_F(ControllerTest, UnoptimizedRegistersShrinkCapacity)
 
 TEST_F(ControllerTest, CachedLeakageMatchesAFreshComputation)
 {
-    EXPECT_EQ(bits(mc_.leakage()),
-              bits(power::leakagePower(MemoryController::kLeakK, 0.80,
-                                       50.0)));
+    EXPECT_EQ(bits(mc_.controllerPower(0.4)),
+              bits(MemoryController::powerAt(0.80, mc_.clock(), 0.4)));
     for (const Volt v : kRailWalk) {
         mc_.setVsa(v);
-        EXPECT_EQ(bits(mc_.leakage()),
-                  bits(power::leakagePower(MemoryController::kLeakK, v,
-                                           50.0)));
         for (const double u : {0.0, 0.4, 1.0}) {
             EXPECT_EQ(
                 bits(mc_.controllerPower(u)),

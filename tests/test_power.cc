@@ -224,13 +224,10 @@ TEST(PowerModel, LeakageGrowsWithVoltageAndTemperature)
 
 TEST(PowerModel, RailLeakageMatchesLeakagePowerAsTheVoltageMoves)
 {
-    RailLeakage leak(0.42, 0.80, 50.0);
-    EXPECT_EQ(bits(leak.watts()), bits(leakagePower(0.42, 0.80, 50.0)));
-    // Repeats, a two-point toggle (served from the kept value), and
-    // a third voltage that evicts it.
-    for (const Volt v : {0.80, 0.68, 0.80, 0.68, 0.68, 0.72, 0.80, 0.72}) {
-        leak.setVoltage(v);
-        EXPECT_EQ(bits(leak.watts()), bits(leakagePower(0.42, v, 50.0)))
+    RailLeakage leak(0.42, 50.0);
+    // Moves, repeats (served from the kept value) and returns.
+    for (const Volt v : {0.80, 0.80, 0.68, 0.80, 0.68, 0.68, 0.72}) {
+        EXPECT_EQ(bits(leak.at(v)), bits(leakagePower(0.42, v, 50.0)))
             << "v " << v;
     }
 }
@@ -307,6 +304,27 @@ TEST(PStateTable, PowerAtMatchesRecomputationBitForBit)
         }
         for (const auto &s : st.table.states())
             EXPECT_EQ(bits(s.maxPower), bits(ref.stateAt(s, 1.0)));
+    }
+}
+
+TEST(PStateTable, LeakageAtMatchesRecomputationBitForBit)
+{
+    Rng rng(0x7c3a90e1);
+    for (const ShippedTable &st : shippedTables()) {
+        std::vector<Volt> volts;
+        for (const auto &s : st.table.states()) {
+            volts.push_back(s.voltage);
+            volts.push_back(std::nextafter(s.voltage, 0.0));
+            volts.push_back(std::nextafter(s.voltage, 2.0));
+        }
+        for (int i = 0; i < 16; ++i)
+            volts.push_back(rng.uniform(0.4, 1.4));
+        for (const Volt v : volts) {
+            EXPECT_EQ(bits(st.table.leakageAt(v)),
+                      bits(leakagePower(st.table.leakK(), v,
+                                        st.table.temperature())))
+                << st.name << " voltage " << v;
+        }
     }
 }
 

@@ -655,8 +655,8 @@ TEST(SnapshotSlice, TracedSnapshotRestoresIntoUntracedCell)
 
 TEST(SnapshotDomains, RestoredLeakageMatchesAFreshComputation)
 {
-    // Each domain keeps its leakage as a member set with its voltage;
-    // a restore must recompute it, not keep the boot value.
+    // Each domain caches its leakage; a restore must not leave the
+    // boot voltage's value behind.
     const soc::SocConfig cfg = soc::skylakeConfig();
     const auto domains = [](soc::Soc &chip) {
         return std::vector<SimObject *>{&chip.cpu(), &chip.gfx(),
@@ -679,6 +679,10 @@ TEST(SnapshotDomains, RestoredLeakageMatchesAFreshComputation)
 
     Simulator sim_b;
     soc::Soc b(sim_b, cfg);
+    // Fill the rail caches at the boot voltages before restoring.
+    b.mc().controllerPower(0.4);
+    b.fabric().power(0.4);
+    b.mc().ddrioDigitalPower(0.4);
     SnapshotReader r(w.str());
     for (SimObject *obj : domains(b)) {
         r.push(obj->name());
@@ -700,14 +704,17 @@ TEST(SnapshotDomains, RestoredLeakageMatchesAFreshComputation)
               bits(power::leakagePower(gfx.pstates().leakK(),
                                        gfx.voltage(),
                                        gfx.pstates().temperature())));
-    EXPECT_EQ(bits(b.mc().leakage()),
-              bits(power::leakagePower(mem::MemoryController::kLeakK,
-                                       0.68, 50.0)));
-    EXPECT_EQ(bits(b.fabric().leakage()),
-              bits(power::leakagePower(
-                  interconnect::IoFabric::kLeakK, 0.68, 50.0)));
-    EXPECT_EQ(bits(b.mc().ddrio().leakage()),
-              bits(power::leakagePower(0.245, 0.85, 50.0)));
+    EXPECT_EQ(bits(b.mc().controllerPower(0.4)),
+              bits(mem::MemoryController::powerAt(0.68, b.mc().clock(),
+                                                  0.4)));
+    EXPECT_EQ(bits(b.fabric().power(0.4)),
+              bits(interconnect::IoFabric::powerAt(
+                  0.68, b.fabric().frequency(), 0.4)));
+    const mem::Ddrio &ddrio = b.mc().ddrio();
+    EXPECT_EQ(bits(b.mc().ddrioDigitalPower(0.4)),
+              bits(mem::Ddrio::powerAt(0.85, ddrio.clock(), 0.4,
+                                       b.mc().registers()
+                                           .ddrioActivityFactor)));
 }
 
 TEST(SnapshotSlice, SliceArgumentValidation)
