@@ -7,17 +7,29 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+
+#include <unistd.h>
 
 #include "bench/harness.hh"
 #include "exp/experiment.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
+#include "exp/spec_codec.hh"
+#include "sim/snapshot.hh"
+#include "soc/op_point.hh"
+#include "workloads/battery.hh"
+#include "workloads/graphics.hh"
 #include "workloads/micro.hh"
+#include "workloads/spec.hh"
 
 using namespace sysscale;
+
+#include "tests/golden_collect_path.inc"
 
 namespace {
 
@@ -558,4 +570,101 @@ TEST(SpecValidation, RejectsOverCapacityScenarioCompositions)
     EXPECT_NE(rej.error.find("concurrent threads"),
               std::string::npos)
         << rej.error;
+}
+
+// ------------------------------------------------------------------
+// Differential: the collect path (no governor installed)
+// ------------------------------------------------------------------
+
+namespace {
+
+/**
+ * The collect cells of tests/golden_collect_path.inc: one per
+ * pinning variant, each on a workload that drives other counters.
+ */
+std::vector<exp::ExperimentSpec>
+collectGoldenSpecs()
+{
+    const soc::SocConfig cfg = soc::skylakeConfig(4.5);
+    auto cell = [&cfg](const std::string &variant,
+                       workloads::WorkloadProfile w) {
+        exp::ExperimentSpec spec;
+        spec.id = variant + "/" + w.name();
+        spec.soc = cfg;
+        spec.workload = std::move(w);
+        spec.window = kTicksPerSec;
+        spec.labels = {{"variant", variant}};
+        return spec;
+    };
+    const soc::OperatingPoint low = soc::OpPointTable(cfg).low();
+
+    std::vector<exp::ExperimentSpec> specs;
+    specs.push_back(
+        cell("unpinned", workloads::specBenchmark("470.lbm")));
+    specs.push_back(cell("pinned-low", workloads::threeDMark06()));
+    specs.back().pinnedOpPoint = low;
+    specs.push_back(
+        cell("unoptimized-mrc", workloads::videoConferencing()));
+    specs.back().pinnedOpPoint = low;
+    specs.back().pinnedUnoptimizedMrc = true;
+    specs.back().camera = true;
+    specs.push_back(
+        cell("core-freq", workloads::specBenchmark("429.mcf")));
+    specs.back().pinnedCoreFreq = 1.2 * kGHz;
+    return specs;
+}
+
+/**
+ * Each cell's CSV row (host_seconds zeroed) followed by the
+ * fnv1a64 of its statsDump, one line each.
+ */
+std::string
+collectGoldenRows()
+{
+    std::string out = "\n" + exp::csvHeader() + "\n";
+    for (const exp::ExperimentSpec &spec : collectGoldenSpecs()) {
+        exp::RunResult res = exp::runCell(spec);
+        res.hostSeconds = 0.0; // wall clock: not deterministic
+        char digest[17];
+        std::snprintf(digest, sizeof digest, "%016llx",
+                      static_cast<unsigned long long>(
+                          exp::fnv1a64(res.statsDump)));
+        out += exp::csvRow(res) + "\n" + "stats " + digest + "\n";
+    }
+    return out;
+}
+
+/** The unpinned cell's snapshot, checkpointed mid-window. */
+std::string
+collectGoldenSnapshot(const std::string &path)
+{
+    const exp::ExperimentSpec spec = collectGoldenSpecs().front();
+    exp::SliceOptions sopts;
+    sopts.t1 = spec.warmup + spec.window / 2;
+    sopts.outSnap = path;
+    const exp::RunResult res = exp::runCellSlice(spec, sopts);
+    if (!res.ok)
+        return "slice failed: " + res.error;
+    return readSnapshotFile(path);
+}
+
+} // anonymous namespace
+
+TEST(CollectGolden, RowsAndStatsMatchTheBakedFixture)
+{
+    EXPECT_EQ(collectGoldenRows(), std::string(kCollectGoldenRows))
+        << "collect cells (no governor) must reproduce the rows and "
+           "stats dumps baked in tests/golden_collect_path.inc";
+}
+
+TEST(CollectGolden, MidRunSnapshotMatchesTheBakedFixture)
+{
+    const std::string path = ::testing::TempDir() +
+                             "collect-golden-" +
+                             std::to_string(::getpid()) + ".snap";
+    const std::string text = collectGoldenSnapshot(path);
+    std::filesystem::remove(path);
+    EXPECT_EQ(text, std::string(kCollectGoldenSnapshot))
+        << "a collect cell's snapshot must keep its exact keys and "
+           "values (policy scope: sum0..3, windows)";
 }
