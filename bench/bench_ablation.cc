@@ -67,21 +67,18 @@ knockout(int which)
 exp::GovernorFactory
 variantFactory(int which)
 {
-    return [which] {
-        return std::unique_ptr<soc::PmuPolicy>(
-            new core::GovernorHost(
-                std::make_unique<core::SysScaleGovernor>(
-                    core::SysScaleGovernor::defaultThresholds(),
-                    core::LinearImpactModel{}, knockout(which))));
+    return [which]() -> std::unique_ptr<core::Governor> {
+        return std::make_unique<core::SysScaleGovernor>(
+            core::SysScaleGovernor::defaultThresholds(),
+            core::LinearImpactModel{}, knockout(which));
     };
 }
 
 exp::GovernorFactory
 noRedistFactory()
 {
-    return [] {
-        return std::unique_ptr<soc::PmuPolicy>(new core::GovernorHost(
-            std::make_unique<NoRedistSysScale>()));
+    return []() -> std::unique_ptr<core::Governor> {
+        return std::make_unique<NoRedistSysScale>();
     };
 }
 

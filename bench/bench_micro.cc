@@ -206,8 +206,9 @@ BENCHMARK(BM_Fig9IdleRun)->Arg(0)->Arg(1);
 
 /**
  * Cost of one governor evaluation interval through the full
- * policy/driver stack: GovernorHost::evaluate() -> decide() ->
- * driver request (with notifier dispatch when the point moves).
+ * policy/driver stack: a governor installed in the PMU decides,
+ * and its driver runs the request (and the flow when the point
+ * moves).
  * One variant per registered governor, at default parameters, so
  * the perf ledger watches every policy in the zoo.
  */
@@ -217,14 +218,15 @@ BM_GovernorDecide(benchmark::State &state, const std::string &name)
     Simulator sim;
     soc::Soc chip(sim, soc::skylakeConfig());
     chip.display().attachPanel(0, io::PanelConfig{});
-    core::GovernorHost host(core::makeGovernor(name, {}));
-    host.reset(chip);
+    const std::unique_ptr<core::Governor> gov =
+        core::makeGovernor(name, {});
+    chip.pmu().setGovernor(gov.get());
     soc::CounterSnapshot avg;
     avg[soc::Counter::LlcStalls] = 1e5;
     avg[soc::Counter::LlcOccupancyTracer] = 8.0;
     avg[soc::Counter::IoRpq] = 12.0;
     for (auto _ : state)
-        host.evaluate(chip, avg);
+        gov->decide(chip.pmu().driver(), chip, avg);
 }
 
 const int kGovernorDecideRegistered = [] {

@@ -10,12 +10,10 @@
  * experiments of Sec. 3) and collecting counter averages (predictor
  * training, Sec. 4.2).
  *
- * Execution itself lives in src/exp: runExperiment() wraps one
- * exp::ExperimentSpec and runs it through exp::runCell(), the same
- * path the parallel ExperimentRunner uses, so serial bench runs and
- * grid sweeps are the identical computation. Benches that sweep a
- * grid build the spec vector themselves and hand it to the runner
- * (see bench_fig10_tdp.cc for the pattern).
+ * Execution itself lives in src/exp: makeSpec() builds the
+ * exp::ExperimentSpec for one run, and benches hand their spec
+ * vector to the same ExperimentRunner grid sweeps use (see
+ * bench_fig10_tdp.cc for the pattern).
  */
 
 #ifndef SYSSCALE_BENCH_HARNESS_HH
@@ -60,13 +58,6 @@ struct RunConfig
     std::optional<soc::SocConfig> socConfig;
 };
 
-/** Outcome of one measured experiment. */
-struct Outcome
-{
-    soc::RunMetrics metrics;
-    soc::CounterSnapshot counters; //!< Valid when collected.
-};
-
 /** Build the exp cell equivalent to (@p profile, @p rc). */
 inline exp::ExperimentSpec
 makeSpec(const workloads::WorkloadProfile &profile,
@@ -97,24 +88,6 @@ checkResult(const exp::RunResult &res)
         std::exit(1);
     }
     return res;
-}
-
-/**
- * Run @p profile under @p policy (nullptr = pinned/no governor) and
- * return the measured window.
- */
-inline Outcome
-runExperiment(const workloads::WorkloadProfile &profile,
-              soc::PmuPolicy *policy, const RunConfig &rc = {})
-{
-    exp::ExperimentSpec spec = makeSpec(profile, rc);
-    spec.borrowedPolicy = policy;
-    const exp::RunResult res = exp::runCell(spec);
-    checkResult(res);
-    Outcome out;
-    out.metrics = res.metrics;
-    out.counters = res.counters;
-    return out;
 }
 
 /**

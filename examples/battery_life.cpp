@@ -26,8 +26,7 @@ measure(core::Governor &governor)
 
     workloads::ProfileAgent agent(workloads::videoPlayback());
     chip.setWorkload(&agent);
-    core::GovernorHost host(governor);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&governor);
 
     chip.run(200 * kTicksPerMs);
     return chip.run(3 * kTicksPerSec);

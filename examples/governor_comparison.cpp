@@ -29,8 +29,7 @@ measure(const workloads::WorkloadProfile &w,
         io::PanelResolution::HD, 60.0, 4});
     workloads::ProfileAgent agent(w);
     chip.setWorkload(&agent);
-    core::GovernorHost host(governor);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&governor);
     chip.run(200 * kTicksPerMs);
     return chip.run(2 * kTicksPerSec);
 }

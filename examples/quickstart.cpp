@@ -32,8 +32,7 @@ measure(const workloads::WorkloadProfile &profile,
 
     workloads::ProfileAgent agent(profile);
     chip.setWorkload(&agent);
-    core::GovernorHost host(governor);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&governor);
 
     chip.run(200 * kTicksPerMs);          // warm up
     return chip.run(2 * kTicksPerSec);    // measure

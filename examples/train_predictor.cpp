@@ -20,34 +20,6 @@ using namespace sysscale;
 
 namespace {
 
-/** Policy that only records counter averages. */
-class Collect : public soc::PmuPolicy
-{
-  public:
-    const char *name() const override { return "collect"; }
-
-    void
-    evaluate(soc::Soc &, const soc::CounterSnapshot &avg) override
-    {
-        for (std::size_t i = 0; i < soc::kNumCounters; ++i)
-            sum_.values[i] += avg.values[i];
-        ++n_;
-    }
-
-    soc::CounterSnapshot
-    average() const
-    {
-        soc::CounterSnapshot out;
-        for (std::size_t i = 0; i < soc::kNumCounters; ++i)
-            out.values[i] = n_ ? sum_.values[i] / n_ : 0.0;
-        return out;
-    }
-
-  private:
-    soc::CounterSnapshot sum_;
-    double n_ = 0;
-};
-
 /** One pinned measurement; returns (ips, counters at high point). */
 std::pair<double, soc::CounterSnapshot>
 pinnedRun(const workloads::WorkloadProfile &w, bool low)
@@ -57,8 +29,6 @@ pinnedRun(const workloads::WorkloadProfile &w, bool low)
     chip.display().attachPanel(0, io::PanelConfig{});
     workloads::ProfileAgent agent(w);
     chip.setWorkload(&agent);
-    Collect collect;
-    chip.pmu().setPolicy(&collect);
 
     core::TransitionFlow flow(chip);
     if (low)
@@ -66,7 +36,8 @@ pinnedRun(const workloads::WorkloadProfile &w, bool low)
 
     chip.run(60 * kTicksPerMs);
     const soc::RunMetrics m = chip.run(200 * kTicksPerMs);
-    return {m.ips, collect.average()};
+    // With no governor installed, the PMU averages the counters.
+    return {m.ips, chip.pmu().counterAverage()};
 }
 
 } // namespace
@@ -117,8 +88,7 @@ main()
     soc::Soc chip(sim, soc::skylakeConfig());
     chip.display().attachPanel(0, io::PanelConfig{});
     core::SysScaleGovernor gov(thr, model);
-    core::GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
     workloads::ProfileAgent agent(
         workloads::specBenchmark("416.gamess"));
     chip.setWorkload(&agent);

@@ -11,12 +11,11 @@
  *    enforces this) — every grant goes through the driver.
  *  - The GovernorDriver (governor_driver.hh) owns *mechanics*:
  *    executing the Fig. 5 transition flow, enforcing transition-
- *    latency constraints, recomputing power budgets, and publishing
- *    pre/post transition notifiers that stats subscribe to.
- *  - The GovernorHost (below) adapts a Governor onto the PMU's
- *    PmuPolicy slot: it builds one driver per installation, wires
- *    the governor's notify() hook to the post-transition notifier,
- *    and accounts per-governor transition statistics.
+ *    latency constraints, recomputing power budgets, counting
+ *    transitions, and publishing pre/post transition notifiers.
+ *  - The PMU (soc/pmu.hh) hosts one Governor at a time
+ *    (Pmu::setGovernor): it builds one fresh driver per install and
+ *    calls decide() every evaluation interval.
  *
  * Concrete policies register by name in governor_registry.hh; see
  * docs/ARCHITECTURE.md for the layer diagram and docs/EXPERIMENTS.md
@@ -26,13 +25,11 @@
 #ifndef SYSSCALE_CORE_GOVERNOR_HH
 #define SYSSCALE_CORE_GOVERNOR_HH
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/transition_flow.hh"
-#include "soc/pmu.hh"
 #include "soc/soc.hh"
 
 namespace sysscale {
@@ -69,7 +66,7 @@ struct TransitionRecord
 };
 
 /**
- * Uniform policy interface: init / decide / notify / teardown.
+ * Uniform policy interface: init / decide, plus snapshot state.
  */
 class Governor
 {
@@ -103,75 +100,24 @@ class Governor
     virtual void decide(GovernorDriver &drv, soc::Soc &soc,
                         const soc::CounterSnapshot &avg) = 0;
 
-    /** Post-transition notification (after the flow applied). */
-    virtual void notify(const TransitionRecord &rec) { (void)rec; }
-
     /** @name Snapshot support: stateless policies need nothing. @{ */
     virtual void saveState(SnapshotWriter &w) const { (void)w; }
     virtual void loadState(SnapshotReader &r) { (void)r; }
     /** @} */
 
-    /** Called when the policy is uninstalled or the host dies. */
-    virtual void teardown() {}
-};
+    /**
+     * True once this instance has ever been installed in a PMU.
+     * Stateful policies (the adaptive governor's learned thresholds)
+     * must not leak across experiment cells, so the runner asserts
+     * each factory-built governor is a never-installed instance.
+     */
+    bool everInstalled() const { return everInstalled_; }
 
-/** Per-governor transition accounting fed by the notifiers. */
-struct TransitionStats
-{
-    std::uint64_t requested = 0; //!< Pre notifications seen.
-    std::uint64_t executed = 0;  //!< Flows that actually ran.
-    std::uint64_t increases = 0; //!< Executed upward transitions.
-    std::uint64_t decreases = 0; //!< Executed downward transitions.
-    Tick totalLatency = 0;       //!< Sum of executed flow latencies.
-    Tick maxLatency = 0;         //!< Slowest executed flow.
-};
-
-/**
- * Adapts a Governor onto the PMU's PmuPolicy slot. Owns (or borrows)
- * the policy and owns one GovernorDriver per installation; the
- * driver is rebuilt on every reset() so cached policy objects can
- * never leak mechanics state between SoCs.
- */
-class GovernorHost : public soc::PmuPolicy
-{
-  public:
-    /** Own @p gov (registry path). */
-    explicit GovernorHost(std::unique_ptr<Governor> gov);
-
-    /** Borrow @p gov (tests/benches that inspect policy state). */
-    explicit GovernorHost(Governor &gov);
-
-    ~GovernorHost() override;
-
-    const char *name() const override;
-    std::size_t firmwareBytes() const override;
-
-    void reset(soc::Soc &soc) override;
-    void evaluate(soc::Soc &soc,
-                  const soc::CounterSnapshot &avg) override;
-
-    Governor &governor() { return *gov_; }
-    const Governor &governor() const { return *gov_; }
-
-    /** The mechanics layer; valid after reset() installed it. */
-    GovernorDriver &driver();
-    const GovernorDriver &driver() const;
-
-    /** Per-governor transition accounting (notifier-fed). */
-    const TransitionStats &transitionStats() const { return stats_; }
-
-    /** @name Snapshot support: host accounting + driver mechanics +
-     *  the policy's own state (delegated). @{ */
-    void saveState(SnapshotWriter &w) const override;
-    void loadState(SnapshotReader &r) override;
-    /** @} */
+    /** Recorded by Pmu::setGovernor; sticky across reinstalls. */
+    void markInstalled() { everInstalled_ = true; }
 
   private:
-    std::unique_ptr<Governor> owned_;
-    Governor *gov_;
-    std::unique_ptr<GovernorDriver> driver_;
-    TransitionStats stats_;
-    bool inited_ = false;
+    bool everInstalled_ = false;
 };
 
 } // namespace core

@@ -1,5 +1,7 @@
 #include "core/governor_driver.hh"
 
+#include <algorithm>
+
 #include "obs/trace.hh"
 #include "sim/logging.hh"
 #include "sim/snapshot.hh"
@@ -60,6 +62,7 @@ GovernorDriver::requestOpPoint(const soc::OperatingPoint &target)
     rec.from = from;
     rec.to = target;
     if (changes) {
+        ++stats_.requested;
         for (const TransitionCallback &cb : pre_)
             cb(rec);
     }
@@ -75,6 +78,16 @@ GovernorDriver::requestOpPoint(const soc::OperatingPoint &target)
     rec.increased = report.increased;
     rec.executed = report.executed;
     if (changes) {
+        if (report.executed) {
+            ++stats_.executed;
+            if (report.increased)
+                ++stats_.increases;
+            else
+                ++stats_.decreases;
+            stats_.totalLatency += report.totalLatency;
+            stats_.maxLatency =
+                std::max(stats_.maxLatency, report.totalLatency);
+        }
         for (const TransitionCallback &cb : post_)
             cb(rec);
     }

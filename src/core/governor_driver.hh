@@ -5,9 +5,9 @@
  * The driver is the only component that applies operating-point
  * grants to the SoC. It owns the Fig. 5 TransitionFlow, recomputes
  * the compute-domain power budget after every request, enforces an
- * optional transition-latency constraint, and publishes pre/post
- * transition notifiers so stats and policies can account transitions
- * without touching mechanics.
+ * optional transition-latency constraint, counts the transitions it
+ * runs, and publishes pre/post transition notifiers so observers can
+ * follow transitions without touching mechanics.
  *
  * Policies (core/governor.hh implementations) must route every SoC
  * mutation through this class; the repo-invariant linter's
@@ -28,6 +28,17 @@
 
 namespace sysscale {
 namespace core {
+
+/** Per-install transition accounting, counted by the driver. */
+struct TransitionStats
+{
+    std::uint64_t requested = 0; //!< Changing requests not denied.
+    std::uint64_t executed = 0;  //!< Flows that actually ran.
+    std::uint64_t increases = 0; //!< Executed upward transitions.
+    std::uint64_t decreases = 0; //!< Executed downward transitions.
+    Tick totalLatency = 0;       //!< Sum of executed flow latencies.
+    Tick maxLatency = 0;         //!< Slowest executed flow.
+};
 
 /**
  * Mechanics layer: applies policy decisions to one SoC.
@@ -90,6 +101,8 @@ class GovernorDriver
     Tick lastFlowLatency() const { return lastFlowLatency_; }
     Tick totalFlowLatency() const { return totalFlowLatency_; }
     std::uint64_t deniedRequests() const { return denied_; }
+    const TransitionStats &transitionStats() const { return stats_; }
+    void restoreTransitionStats(const TransitionStats &s) { stats_ = s; }
     /** @} */
 
     /** @name Snapshot support: the latency constraint + accounting
@@ -113,6 +126,7 @@ class GovernorDriver
     Tick lastFlowLatency_ = 0;
     Tick totalFlowLatency_ = 0;
     std::uint64_t denied_ = 0;
+    TransitionStats stats_;
 };
 
 } // namespace core

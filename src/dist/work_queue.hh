@@ -203,8 +203,8 @@ class WorkQueue
      * is still returned). A failure marker that does not decode as
      * the cell's error row is quarantined with its retained entry,
      * and the cell is enqueued. Throws std::invalid_argument for specs
-     * carrying runtime hooks (governorFactory/borrowedPolicy), which
-     * cannot be serialized.
+     * carrying a runtime hook (governorFactory), which cannot be
+     * serialized.
      */
     std::string enqueue(const exp::ExperimentSpec &spec);
 

@@ -13,8 +13,8 @@
  *
  * Rules:
  *  - only ok results are stored; error rows are never cached,
- *  - specs carrying a governorFactory or borrowedPolicy are not
- *    content-addressable and bypass the cache entirely,
+ *  - specs carrying a governorFactory are not content-addressable
+ *    and bypass the cache entirely,
  *  - a corrupt, unparsable, or key-mismatched file is a miss counted
  *    in CacheStats::corrupt (and is overwritten by the next store),
  *  - the id and labels of a hit are taken from the querying spec,

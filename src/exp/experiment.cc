@@ -12,7 +12,6 @@
 #include <stdexcept>
 
 #include "core/governor_registry.hh"
-#include "core/governors.hh"
 #include "core/transition_flow.hh"
 #include "exp/spec_codec.hh"
 #include "io/display.hh"
@@ -26,54 +25,6 @@ namespace sysscale {
 namespace exp {
 
 namespace {
-
-/** PMU policy that accumulates window-averaged counters. */
-class CollectPolicy : public soc::PmuPolicy
-{
-  public:
-    const char *name() const override { return "collect"; }
-
-    void
-    evaluate(soc::Soc &soc, const soc::CounterSnapshot &avg) override
-    {
-        (void)soc;
-        for (std::size_t i = 0; i < soc::kNumCounters; ++i)
-            sum_.values[i] += avg.values[i];
-        ++windows_;
-    }
-
-    soc::CounterSnapshot
-    average() const
-    {
-        soc::CounterSnapshot out;
-        if (windows_ == 0)
-            return out;
-        for (std::size_t i = 0; i < soc::kNumCounters; ++i)
-            out.values[i] =
-                sum_.values[i] / static_cast<double>(windows_);
-        return out;
-    }
-
-    void
-    saveState(SnapshotWriter &w) const override
-    {
-        for (std::size_t i = 0; i < soc::kNumCounters; ++i)
-            w.putDouble("sum" + std::to_string(i), sum_.values[i]);
-        w.putU64("windows", windows_);
-    }
-
-    void
-    loadState(SnapshotReader &r) override
-    {
-        for (std::size_t i = 0; i < soc::kNumCounters; ++i)
-            sum_.values[i] = r.getDouble("sum" + std::to_string(i));
-        windows_ = r.getU64("windows");
-    }
-
-  private:
-    soc::CounterSnapshot sum_;
-    std::size_t windows_ = 0;
-};
 
 /** Workload wrapper that overrides the OS core-frequency request. */
 class PinnedFreqAgent : public soc::WorkloadAgent
@@ -176,13 +127,12 @@ loadAccumulators(SnapshotReader &r)
  * Serialize the full simulator state of a live cell: the pending
  * event queue in exact (tick, priority, seq) order, every SimObject's
  * private state (scoped under its path), the whole stats hierarchy,
- * the root RNG stream, the installed PMU policy, the trace buffer
+ * the root RNG stream, the PMU's policy state, the trace buffer
  * when one is attached, and the measurement-window baseline sample
  * once the run has crossed warmup.
  */
 void
-encodeCellState(SnapshotWriter &w, Simulator &sim,
-                const soc::PmuPolicy &policy,
+encodeCellState(SnapshotWriter &w, Simulator &sim, const soc::Pmu &pmu,
                 const obs::TraceSink *sink,
                 const std::optional<soc::Soc::RunAccumulators>
                     &baseline)
@@ -220,7 +170,7 @@ encodeCellState(SnapshotWriter &w, Simulator &sim,
     w.pop();
 
     w.push("policy");
-    policy.saveState(w);
+    pmu.savePolicyState(w);
     w.pop();
 
     if (sink != nullptr) {
@@ -246,8 +196,8 @@ encodeCellState(SnapshotWriter &w, Simulator &sim,
  * SnapshotError.
  */
 void
-restoreCellState(SnapshotReader &r, Simulator &sim,
-                 soc::PmuPolicy &policy, obs::TraceSink *sink,
+restoreCellState(SnapshotReader &r, Simulator &sim, soc::Pmu &pmu,
+                 obs::TraceSink *sink,
                  std::optional<soc::Soc::RunAccumulators> &baseline)
 {
     // Harvest the startup-scheduled events: every event that can be
@@ -304,7 +254,7 @@ restoreCellState(SnapshotReader &r, Simulator &sim,
     r.pop();
 
     r.push("policy");
-    policy.loadState(r);
+    pmu.loadPolicyState(r);
     r.pop();
 
     if (r.has("obs.dropped")) {
@@ -349,22 +299,18 @@ isGovernorName(const std::string &name)
 GovernorFactory
 governorFactory(const std::string &name, const GovernorParams &params)
 {
-    using Policy = std::unique_ptr<soc::PmuPolicy>;
     if (name.empty() || name == "collect") {
         if (!params.empty()) {
             throw std::invalid_argument(
                 "governor \"collect\" takes no parameters");
         }
-        return [] { return Policy(); };
+        return [] { return std::unique_ptr<core::Governor>(); };
     }
     // Construct once eagerly: makeGovernor validates both the name
     // (enumerating the registry on a miss) and the parameters, so a
     // bad --governors token dies here, not on a sweep worker.
     core::makeGovernor(name, params);
-    return [name, params] {
-        return Policy(new core::GovernorHost(
-            core::makeGovernor(name, params)));
-    };
+    return [name, params] { return core::makeGovernor(name, params); };
 }
 
 GovernorToken
@@ -407,7 +353,7 @@ validateSpec(const ExperimentSpec &spec)
     if (spec.window == 0)
         throw std::invalid_argument(
             "cell \"" + spec.id + "\": zero measurement window");
-    if (!spec.governorFactory && !spec.borrowedPolicy) {
+    if (!spec.governorFactory) {
         // governorFactory() validates both the name (enumerating the
         // registry on a miss) and the parameters.
         try {
@@ -536,20 +482,15 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
             "cell \"" + spec.id +
             "\": slice starts mid-run without an input snapshot");
 
-    std::unique_ptr<soc::PmuPolicy> owned;
-    soc::PmuPolicy *policy = spec.borrowedPolicy;
-    if (!policy) {
-        const GovernorFactory factory =
-            spec.governorFactory
-                ? spec.governorFactory
-                : governorFactory(spec.governor, spec.governorParams);
-        owned = factory();
-        policy = owned.get();
-        // Stateful governors (adaptive's learned thresholds)
-        // must not leak across cells: every factory-built policy
-        // must be a never-installed instance. Debug builds only.
-        assert(!policy || !policy->everInstalled());
-    }
+    const GovernorFactory factory =
+        spec.governorFactory
+            ? spec.governorFactory
+            : governorFactory(spec.governor, spec.governorParams);
+    const std::unique_ptr<core::Governor> gov = factory();
+    // Stateful governors (adaptive's learned thresholds) must not
+    // leak across cells: every factory-built governor must be a
+    // never-installed instance. Debug builds only.
+    assert(!gov || !gov->everInstalled());
 
     Simulator sim(spec.seed);
 
@@ -602,10 +543,8 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
     PinnedFreqAgent pinned(*root, spec.pinnedCoreFreq);
     chip.setWorkload(&pinned);
 
-    CollectPolicy collector;
-    soc::PmuPolicy *active = policy ? policy : &collector;
-    chip.pmu().setPolicy(active);
-    res.governor = active->name();
+    chip.pmu().setGovernor(gov.get());
+    res.governor = gov ? gov->name() : "collect";
 
     if (spec.pinnedOpPoint) {
         core::FlowOptions fopts;
@@ -636,7 +575,7 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
                 std::to_string(reader.tick()) + ", not slice start " +
                 std::to_string(sopts.t0));
         }
-        restoreCellState(reader, sim, *active,
+        restoreCellState(reader, sim, chip.pmu(),
                          tracing ? &sink : nullptr, baseline);
         reader.finish();
         pos = sopts.t0;
@@ -660,7 +599,7 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
         // the time-averaged stats, which must not leak into an image
         // a continuation resumes from.
         SnapshotWriter writer(key, sim.now());
-        encodeCellState(writer, sim, *active,
+        encodeCellState(writer, sim, chip.pmu(),
                         tracing ? &sink : nullptr, baseline);
         writeSnapshotFile(sopts.outSnap, writer.str());
     }
@@ -669,7 +608,7 @@ executeSlice(const ExperimentSpec &spec, const SliceOptions &sopts,
         res.metrics = soc::Soc::metricsBetween(
             *baseline, chip.sampleAccumulators(),
             secondsFromTicks(spec.window));
-        res.counters = collector.average();
+        res.counters = chip.pmu().counterAverage();
 
         // Per-cell stats export: close the time-weighted residency
         // stats and dump the whole hierarchy. Rides the result (and

@@ -28,9 +28,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/governor.hh"
 #include "soc/config.hh"
 #include "soc/op_point.hh"
-#include "soc/pmu.hh"
 #include "soc/soc.hh"
 #include "workloads/profile.hh"
 #include "workloads/scenario.hh"
@@ -40,7 +40,7 @@ namespace exp {
 
 /** Builds a fresh governor instance for one cell (thread isolation). */
 using GovernorFactory =
-    std::function<std::unique_ptr<soc::PmuPolicy>()>;
+    std::function<std::unique_ptr<core::Governor>()>;
 
 /** Key=value annotations carried through to result rows. */
 using Labels = std::vector<std::pair<std::string, std::string>>;
@@ -88,13 +88,6 @@ struct ExperimentSpec
     /** Overrides @ref governor when set (ablation variants). */
     GovernorFactory governorFactory;
 
-    /**
-     * Non-owning policy instance to run instead of building one —
-     * lets callers inspect governor state after the run. Only legal
-     * on serial execution paths; the parallel runner rejects it.
-     */
-    soc::PmuPolicy *borrowedPolicy = nullptr;
-
     /** Simulator root-RNG seed. */
     std::uint64_t seed = 1;
 
@@ -116,11 +109,10 @@ struct ExperimentSpec
     Labels labels;
 
     /**
-     * Compares the serializable content only: governorFactory and
-     * borrowedPolicy are runtime-local hooks, invisible to
-     * serializeSpec()/specKey(), and are deliberately excluded here
-     * so the spec_codec round-trip invariant
-     * parseSpec(serializeSpec(s)) == s can hold.
+     * Compares the serializable content only: governorFactory is a
+     * runtime-local hook, invisible to serializeSpec()/specKey(),
+     * and is deliberately excluded here so the spec_codec round-trip
+     * invariant parseSpec(serializeSpec(s)) == s can hold.
      */
     bool
     operator==(const ExperimentSpec &o) const

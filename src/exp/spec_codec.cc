@@ -526,7 +526,7 @@ fnv1a64(std::string_view data)
 bool
 isSerializableSpec(const ExperimentSpec &spec)
 {
-    return !spec.governorFactory && spec.borrowedPolicy == nullptr;
+    return !spec.governorFactory;
 }
 
 std::string

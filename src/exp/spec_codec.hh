@@ -12,8 +12,8 @@
  *     parseSpec(serializeSpec(s)) == s
  *
  * is a hard invariant for every serializable spec (the runtime-local
- * governorFactory / borrowedPolicy hooks are outside the encoding;
- * isSerializableSpec() reports whether a spec uses them).
+ * governorFactory hook is outside the encoding; isSerializableSpec()
+ * reports whether a spec uses it).
  *
  * specKey() hashes the *canonical* form — the same encoding with the
  * id and label lines dropped, so renaming or relabeling a cell does
@@ -49,8 +49,8 @@ std::uint64_t fnv1a64(std::string_view data);
 
 /**
  * Whether @p spec is fully captured by serializeSpec(): false when
- * it carries a governorFactory or borrowedPolicy, which cannot be
- * encoded (and therefore must never be cached by content).
+ * it carries a governorFactory, which cannot be encoded (and
+ * therefore must never be cached by content).
  */
 bool isSerializableSpec(const ExperimentSpec &spec);
 

@@ -6,72 +6,35 @@
  * configurable time interval called evaluation interval (30ms by
  * default)" and "samples the performance counters and CSRs multiple
  * times in an evaluation interval (e.g., every 1ms)" (Sec. 4.3).
- * The policy itself (SysScale or a baseline) plugs in behind the
- * PmuPolicy interface; the PMU provides the cadence, the counter
- * access, and the firmware/SRAM budget accounting of Sec. 5.
+ * The PMU hosts the policy itself (SysScale or a baseline) as a
+ * core::Governor and owns the GovernorDriver that applies its
+ * decisions; it provides the cadence, the counter access, and the
+ * firmware/SRAM budget accounting of Sec. 5. With no governor
+ * installed it only collects the window-averaged counters.
  */
 
 #ifndef SYSSCALE_SOC_PMU_HH
 #define SYSSCALE_SOC_PMU_HH
 
 #include <cstdint>
+#include <memory>
 
 #include "sim/sim_object.hh"
 #include "soc/counters.hh"
 
 namespace sysscale {
+
+namespace core {
+class Governor;
+class GovernorDriver;
+} // namespace core
+
 namespace soc {
 
 class Soc;
 
 /**
- * A power-management policy hosted by the PMU firmware.
- */
-class PmuPolicy
-{
-  public:
-    virtual ~PmuPolicy() = default;
-
-    /** Policy name for reports. */
-    virtual const char *name() const = 0;
-
-    /** Called once when the policy is installed. */
-    virtual void reset(Soc &soc) { (void)soc; }
-
-    /**
-     * Evaluation-interval hook: decide the operating point and the
-     * compute budget from the window-averaged counters.
-     */
-    virtual void evaluate(Soc &soc, const CounterSnapshot &avg) = 0;
-
-    /**
-     * Firmware bytes this policy adds to the PMU image (Sec. 5
-     * charges SysScale ~0.6KB).
-     */
-    virtual std::size_t firmwareBytes() const { return 0; }
-
-    /** @name Snapshot support: stateless policies need nothing. @{ */
-    virtual void saveState(SnapshotWriter &w) const { (void)w; }
-    virtual void loadState(SnapshotReader &r) { (void)r; }
-    /** @} */
-
-    /**
-     * True once this instance has ever been installed in a PMU.
-     * Stateful policies (the adaptive governor's learned thresholds)
-     * must not leak across experiment cells, so the runner asserts
-     * each factory-built policy is a never-installed instance.
-     */
-    bool everInstalled() const { return everInstalled_; }
-
-    /** Recorded by Pmu::setPolicy; sticky across reset(). */
-    void markInstalled() { everInstalled_ = true; }
-
-  private:
-    bool everInstalled_ = false;
-};
-
-/**
- * The PMU: sampling/evaluation cadence and policy hosting.
+ * The PMU: sampling/evaluation cadence and governor hosting.
  */
 class Pmu : public SimObject
 {
@@ -80,10 +43,31 @@ class Pmu : public SimObject
         Tick sample_interval, Tick evaluation_interval);
     ~Pmu() override;
 
-    /** Install @p policy (not owned). Resets the window. */
-    void setPolicy(PmuPolicy *policy);
+    /**
+     * Install @p gov (not owned; nullptr = collect counters only).
+     * Resets the window and the collected average, and builds one
+     * fresh GovernorDriver per install so mechanics state never
+     * leaks between SoCs even if the governor object is reused.
+     */
+    void setGovernor(core::Governor *gov);
 
-    PmuPolicy *policy() { return policy_; }
+    /** The installed governor's driver; valid after setGovernor(). */
+    core::GovernorDriver &driver();
+
+    /**
+     * Mean of the window-averaged counters over every evaluation
+     * run without a governor (all zero while one is installed).
+     */
+    CounterSnapshot counterAverage() const;
+
+    /**
+     * @name Snapshot support for the policy half: the driver's
+     * transition accounting and mechanics plus the governor's own
+     * state, or the collected sums when no governor is installed.
+     * @{ */
+    void savePolicyState(SnapshotWriter &w) const;
+    void loadPolicyState(SnapshotReader &r);
+    /** @} */
 
     /** Begin the periodic sampling/evaluation events. */
     void startup() override;
@@ -115,7 +99,12 @@ class Pmu : public SimObject
     PerfCounterBlock &counters_;
     Tick sampleInterval_;
     Tick evalInterval_;
-    PmuPolicy *policy_ = nullptr;
+    core::Governor *gov_ = nullptr;
+    std::unique_ptr<core::GovernorDriver> driver_;
+
+    /** Collect mode: summed window averages and their count. */
+    CounterSnapshot sum_;
+    std::uint64_t windows_ = 0;
 
     EventFunctionWrapper sampleEvent_;
     EventFunctionWrapper evalEvent_;

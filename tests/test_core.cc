@@ -288,8 +288,7 @@ TEST(Governors, SysScaleDerivesStaticGateFromLowPoint)
     Simulator sim;
     soc::Soc chip(sim, soc::skylakeConfig());
     SysScaleGovernor gov;
-    GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
     const BytesPerSec low_cap =
         chip.config().dramSpec.peakBandwidth(1) * 0.90;
     EXPECT_NEAR(gov.predictor().thresholds().staticBw,
@@ -301,18 +300,17 @@ TEST(Governors, SysScaleMovesLowWhenQuietAndHighUnderPressure)
     Simulator sim;
     soc::Soc chip(sim, soc::skylakeConfig());
     SysScaleGovernor gov;
-    GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
 
     soc::CounterSnapshot quiet;
-    host.evaluate(chip, quiet);
+    gov.decide(chip.pmu().driver(), chip, quiet);
     EXPECT_EQ(chip.currentOpPoint().dramBin, 1u);
-    EXPECT_EQ(host.driver().flowRuns(), 1u);
-    EXPECT_LT(host.driver().lastFlowLatency(), 10 * kTicksPerUs);
+    EXPECT_EQ(chip.pmu().driver().flowRuns(), 1u);
+    EXPECT_LT(chip.pmu().driver().lastFlowLatency(), 10 * kTicksPerUs);
 
     soc::CounterSnapshot pressure;
     pressure[soc::Counter::LlcStalls] = 5e6;
-    host.evaluate(chip, pressure);
+    gov.decide(chip.pmu().driver(), chip, pressure);
     EXPECT_EQ(chip.currentOpPoint().dramBin, 0u);
     EXPECT_TRUE(gov.lastConditions().memLatency);
 }
@@ -328,10 +326,9 @@ TEST(Governors, StaticDemandHoldsHighPoint)
         io::PanelResolution::UHD4K, 60.0, 4});
 
     SysScaleGovernor gov;
-    GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
     soc::CounterSnapshot quiet;
-    host.evaluate(chip, quiet);
+    gov.decide(chip.pmu().driver(), chip, quiet);
     EXPECT_EQ(chip.currentOpPoint().dramBin, 0u);
     EXPECT_TRUE(gov.lastConditions().staticBw);
 }
@@ -341,12 +338,11 @@ TEST(Governors, RedistributionGrowsComputeBudget)
     Simulator sim;
     soc::Soc chip(sim, soc::skylakeConfig());
     SysScaleGovernor gov;
-    GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
     const Watt high_budget = chip.computeBudget();
 
     soc::CounterSnapshot quiet;
-    host.evaluate(chip, quiet); // moves low
+    gov.decide(chip.pmu().driver(), chip, quiet); // moves low
     EXPECT_GT(chip.computeBudget(), high_budget + 0.2);
 }
 
@@ -355,12 +351,11 @@ TEST(Governors, PureMemScaleDoesNotRedistribute)
     Simulator sim;
     soc::Soc chip(sim, soc::skylakeConfig());
     MemScaleGovernor gov(/*redistribute=*/false);
-    GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
     const Watt before = chip.computeBudget();
 
     soc::CounterSnapshot quiet;
-    host.evaluate(chip, quiet); // scales memory down
+    gov.decide(chip.pmu().driver(), chip, quiet); // scales memory down
     EXPECT_EQ(chip.currentOpPoint().dramBin, 1u);
     EXPECT_NEAR(chip.computeBudget(), before, 1e-9);
 }
@@ -370,11 +365,10 @@ TEST(Governors, MemScaleLeavesFabricAndVoltagesAlone)
     Simulator sim;
     soc::Soc chip(sim, soc::skylakeConfig());
     MemScaleGovernor gov(true);
-    GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
 
     soc::CounterSnapshot quiet;
-    host.evaluate(chip, quiet);
+    gov.decide(chip.pmu().driver(), chip, quiet);
     EXPECT_EQ(chip.currentOpPoint().dramBin, 1u);
     EXPECT_DOUBLE_EQ(chip.fabric().frequency(),
                      chip.config().fabricFreqHigh);
@@ -388,17 +382,16 @@ TEST(Governors, CoScaleCapsCoresWhenHeavilyBound)
     Simulator sim;
     soc::Soc chip(sim, soc::skylakeConfig());
     CoScaleGovernor gov(true);
-    GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
 
     soc::CounterSnapshot bound;
     bound[soc::Counter::LlcStalls] = 5e6;
-    host.evaluate(chip, bound);
+    gov.decide(chip.pmu().driver(), chip, bound);
     EXPECT_GT(chip.coreFreqCap(), 0.0);
     EXPECT_LT(chip.coreFreqCap(), chip.cpu().pstates().max().freq);
 
     soc::CounterSnapshot quiet;
-    host.evaluate(chip, quiet);
+    gov.decide(chip.pmu().driver(), chip, quiet);
     EXPECT_DOUBLE_EQ(chip.coreFreqCap(), 0.0);
 }
 

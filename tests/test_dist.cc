@@ -179,7 +179,7 @@ TEST(WorkQueue, RuntimeHookSpecsAreRejected)
     dist::WorkQueue queue(dir.sub("q"));
     exp::ExperimentSpec spec = fastSpec("hooked");
     spec.governorFactory = [] {
-        return std::unique_ptr<soc::PmuPolicy>();
+        return std::unique_ptr<core::Governor>();
     };
     EXPECT_FALSE(dist::WorkQueue::queueable(spec));
     EXPECT_THROW((void)queue.enqueue(spec), std::invalid_argument);

@@ -15,7 +15,6 @@
 
 #include <unistd.h>
 
-#include "bench/harness.hh"
 #include "exp/experiment.hh"
 #include "exp/report.hh"
 #include "exp/runner.hh"
@@ -209,27 +208,6 @@ TEST(RunCell, BadSpecBecomesErrorResultNotThrow)
     EXPECT_NE(res.error.find("broken"), std::string::npos);
 }
 
-TEST(RunCell, MatchesBenchHarness)
-{
-    const auto w = workloads::streamMicro();
-    bench::RunConfig rc;
-    rc.warmup = 10 * kTicksPerMs;
-    rc.window = 60 * kTicksPerMs;
-
-    core::SysScaleGovernor gov;
-    core::GovernorHost host(gov);
-    const auto outcome = bench::runExperiment(w, &host, rc);
-
-    exp::ExperimentSpec spec = bench::makeSpec(w, rc);
-    spec.governor = "sysscale";
-    const exp::RunResult res = exp::runCell(spec);
-    ASSERT_TRUE(res.ok) << res.error;
-
-    EXPECT_EQ(res.metrics.ips, outcome.metrics.ips);
-    EXPECT_EQ(res.metrics.energy, outcome.metrics.energy);
-    EXPECT_EQ(res.metrics.transitions, outcome.metrics.transitions);
-}
-
 TEST(Runner, ParallelGridIsByteIdenticalToSerial)
 {
     const auto specs = exp::expandGrid(smallGrid());
@@ -317,7 +295,7 @@ TEST(Runner, FailingCellDoesNotPoisonSiblings)
     // factory and an invalid spec.
     const std::size_t bad_a = 1, bad_b = specs.size() - 1;
     specs[bad_a].governorFactory =
-        []() -> std::unique_ptr<soc::PmuPolicy> {
+        []() -> std::unique_ptr<core::Governor> {
         throw std::runtime_error("factory exploded");
     };
     specs[bad_b].window = 0;
@@ -355,34 +333,6 @@ TEST(Runner, ProgressCallbackSeesEveryCell)
     (void)exp::ExperimentRunner(opts).run(specs);
     EXPECT_EQ(calls, specs.size());
     EXPECT_EQ(last_done, specs.size());
-}
-
-TEST(Runner, BorrowedPolicyRequiresSerialExecution)
-{
-    core::FixedGovernor gov;
-    core::GovernorHost host(gov);
-    exp::ExperimentSpec spec;
-    spec.id = "borrowed";
-    spec.workload = workloads::spinMicro();
-    spec.warmup = 5 * kTicksPerMs;
-    spec.window = 30 * kTicksPerMs;
-    spec.borrowedPolicy = &host;
-
-    std::vector<exp::ExperimentSpec> specs(2, spec);
-
-    exp::RunnerOptions serial_opts;
-    serial_opts.jobs = 1;
-    for (const auto &res :
-         exp::ExperimentRunner(serial_opts).run(specs))
-        EXPECT_TRUE(res.ok) << res.error;
-
-    exp::RunnerOptions parallel_opts;
-    parallel_opts.jobs = 2;
-    for (const auto &res :
-         exp::ExperimentRunner(parallel_opts).run(specs)) {
-        EXPECT_FALSE(res.ok);
-        EXPECT_NE(res.error.find("jobs == 1"), std::string::npos);
-    }
 }
 
 TEST(Runner, JobsClampToCellCount)

@@ -302,19 +302,20 @@ TEST(ResultCache, RuntimeHookSpecsBypassTheCache)
     const CacheDir dir("bypass");
     exp::ResultCache cache(dir.path());
 
-    core::FixedGovernor gov;
-    core::GovernorHost host(gov);
-    exp::ExperimentSpec borrowed = fastSpec("borrowed");
-    borrowed.borrowedPolicy = &host;
-    EXPECT_FALSE(exp::ResultCache::cacheable(borrowed));
+    exp::ExperimentSpec hooked = fastSpec("hooked");
+    hooked.governorFactory = [] {
+        return std::unique_ptr<core::Governor>(
+            std::make_unique<core::FixedGovernor>());
+    };
+    EXPECT_FALSE(exp::ResultCache::cacheable(hooked));
 
-    const exp::RunResult res = exp::runCell(borrowed);
+    const exp::RunResult res = exp::runCell(hooked);
     ASSERT_TRUE(res.ok) << res.error;
-    cache.store(borrowed, res);
+    cache.store(hooked, res);
     EXPECT_EQ(cache.stats().stores, 0u);
 
     exp::RunResult out;
-    EXPECT_FALSE(cache.lookup(borrowed, out));
+    EXPECT_FALSE(cache.lookup(hooked, out));
     EXPECT_EQ(cache.stats().uncacheable, 1u);
     EXPECT_EQ(cache.stats().misses, 0u);
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * The governor zoo: registry round-trips, the policy/driver split's
- * transition notifiers, per-governor accounting, and the
+ * transition notifiers, per-install accounting, and the
  * differential check that re-homing the paper's governors onto the
  * driver layer changed no simulation output.
  */
@@ -20,6 +20,7 @@
 #include "exp/experiment.hh"
 #include "exp/report.hh"
 #include "exp/spec_codec.hh"
+#include "io/display.hh"
 #include "sim/sim_object.hh"
 #include "soc/pmu.hh"
 #include "soc/soc.hh"
@@ -251,22 +252,22 @@ TEST(GovernorDriver, LatencyConstraintDeniesSlowFlows)
     EXPECT_EQ(drv.flowRuns(), 1u);
 }
 
-TEST(GovernorHost, AccountsTransitionsThroughNotifiers)
+TEST(PmuGovernor, DriverAccountsTransitions)
 {
     Simulator sim;
     soc::Soc chip(sim, soc::skylakeConfig());
     core::SysScaleGovernor gov;
-    core::GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
 
     soc::CounterSnapshot quiet;
-    host.evaluate(chip, quiet); // high -> low
+    core::GovernorDriver &drv = chip.pmu().driver();
+    gov.decide(drv, chip, quiet); // high -> low
     soc::CounterSnapshot pressure;
     pressure[soc::Counter::LlcStalls] = 5e6;
-    host.evaluate(chip, pressure); // low -> high
-    host.evaluate(chip, pressure); // already high: no transition
+    gov.decide(drv, chip, pressure); // low -> high
+    gov.decide(drv, chip, pressure); // already high: no transition
 
-    const core::TransitionStats &stats = host.transitionStats();
+    const core::TransitionStats &stats = drv.transitionStats();
     EXPECT_EQ(stats.requested, 2u);
     EXPECT_EQ(stats.executed, 2u);
     EXPECT_EQ(stats.decreases, 1u);
@@ -275,25 +276,24 @@ TEST(GovernorHost, AccountsTransitionsThroughNotifiers)
     EXPECT_GE(stats.totalLatency, stats.maxLatency);
 }
 
-TEST(GovernorHost, ReinstallRebuildsDriverAndStats)
+TEST(PmuGovernor, ReinstallRebuildsDriverAndStats)
 {
     Simulator sim;
     soc::Soc chip(sim, soc::skylakeConfig());
     core::SysScaleGovernor gov;
-    core::GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
 
     soc::CounterSnapshot quiet;
-    host.evaluate(chip, quiet);
-    EXPECT_EQ(host.transitionStats().executed, 1u);
-    const core::GovernorDriver *first = &host.driver();
+    gov.decide(chip.pmu().driver(), chip, quiet);
+    EXPECT_EQ(chip.pmu().driver().transitionStats().executed, 1u);
+    const core::GovernorDriver *first = &chip.pmu().driver();
 
     // A second installation starts from clean mechanics: fresh
     // driver, zeroed accounting.
-    chip.pmu().setPolicy(&host);
-    EXPECT_NE(&host.driver(), first);
-    EXPECT_EQ(host.transitionStats().executed, 0u);
-    EXPECT_EQ(host.driver().flowRuns(), 0u);
+    chip.pmu().setGovernor(&gov);
+    EXPECT_NE(&chip.pmu().driver(), first);
+    EXPECT_EQ(chip.pmu().driver().transitionStats().executed, 0u);
+    EXPECT_EQ(chip.pmu().driver().flowRuns(), 0u);
 }
 
 // ------------------------------------------------------------------
@@ -302,23 +302,15 @@ TEST(GovernorHost, ReinstallRebuildsDriverAndStats)
 
 TEST(OnlineAdaptive, LearnsDuringTheRunAndStartsFresh)
 {
-    exp::ExperimentSpec spec;
-    spec.id = "adaptive/learn";
-    spec.workload = workloads::pointerChaseMicro();
-    spec.warmup = 5 * kTicksPerMs;
-    spec.window = 400 * kTicksPerMs;
-
-    auto run_borrowed = [&spec](core::OnlineAdaptiveGovernor &gov) {
-        core::GovernorHost host(gov);
-        exp::ExperimentSpec cell = spec;
-        cell.borrowedPolicy = &host;
-        const exp::RunResult res = exp::runCell(cell);
-        ASSERT_TRUE(res.ok) << res.error;
-    };
-
+    Simulator sim;
+    soc::Soc chip(sim, soc::skylakeConfig());
+    chip.display().attachPanel(0, io::kDefaultHdPanel);
+    workloads::ProfileAgent agent(workloads::pointerChaseMicro());
+    chip.setWorkload(&agent);
     core::OnlineAdaptiveGovernor gov(
         core::GovernorParams{{"min-samples", "2"}});
-    run_borrowed(gov);
+    chip.pmu().setGovernor(&gov);
+    chip.run(405 * kTicksPerMs);
 
     // The run produced learning: windows observed safe fed the
     // mu+sigma estimate.
@@ -340,14 +332,13 @@ TEST(OnlineAdaptive, ThresholdFloorHoldsUnderQuietCorpus)
     soc::Soc chip(sim, soc::skylakeConfig());
     core::OnlineAdaptiveGovernor gov(
         core::GovernorParams{{"min-samples", "1"}});
-    core::GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
 
     // An all-quiet stream must not collapse thresholds to zero (that
     // would pin the SoC high forever through the hysteresis scale).
     soc::CounterSnapshot quiet;
     for (int i = 0; i < 32; ++i)
-        host.evaluate(chip, quiet);
+        gov.decide(chip.pmu().driver(), chip, quiet);
 
     const core::Thresholds defaults =
         core::SysScaleGovernor::defaultThresholds();

@@ -31,8 +31,7 @@ measure(const workloads::WorkloadProfile &profile,
 
     workloads::ProfileAgent agent(profile);
     chip.setWorkload(&agent);
-    core::GovernorHost host(governor);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&governor);
 
     chip.run(200 * kTicksPerMs); // warm up
     return chip.run(kTicksPerSec);
@@ -132,8 +131,7 @@ TEST(Integration, PhasedWorkloadTriggersTransitions)
     workloads::ProfileAgent agent(
         workloads::specBenchmark("473.astar"));
     chip.setWorkload(&agent);
-    core::GovernorHost host(ss);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&ss);
     const soc::RunMetrics m = chip.run(4 * kTicksPerSec);
     EXPECT_GE(m.transitions, 4u);
     EXPECT_GT(m.lowPointResidency, 0.2);
@@ -149,8 +147,7 @@ TEST(Integration, TransitionStallsAreNegligible)
     workloads::ProfileAgent agent(
         workloads::specBenchmark("473.astar"));
     chip.setWorkload(&agent);
-    core::GovernorHost host(ss);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&ss);
     const soc::RunMetrics m = chip.run(4 * kTicksPerSec);
     // <10us per transition: total stall far below 0.1% of the run.
     EXPECT_LT(secondsFromTicks(m.stallTicks), 0.001 * m.seconds);

@@ -126,26 +126,46 @@ TEST(Pmu, EvaluatesOncePerInterval)
     Simulator sim;
     Soc chip(sim, skylakeConfig());
     core::FixedGovernor gov;
-    core::GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
     chip.run(100 * kTicksPerMs);
     EXPECT_EQ(chip.pmu().evaluations(), 3u); // t = 30, 60, 90 ms
 }
 
 TEST(Pmu, OversizedFirmwareRejected)
 {
-    class FatPolicy : public PmuPolicy
+    class FatGovernor : public core::Governor
     {
       public:
         const char *name() const override { return "fat"; }
-        void evaluate(Soc &, const CounterSnapshot &) override {}
+        void decide(core::GovernorDriver &, Soc &,
+                    const CounterSnapshot &) override {}
         std::size_t firmwareBytes() const override { return 10000; }
     };
 
     Simulator sim;
     Soc chip(sim, skylakeConfig());
-    FatPolicy fat;
-    EXPECT_DEATH(chip.pmu().setPolicy(&fat), "");
+    FatGovernor fat;
+    EXPECT_DEATH(chip.pmu().setGovernor(&fat), "");
+}
+
+TEST(Pmu, CollectsCountersWithoutAGovernor)
+{
+    Simulator sim;
+    Soc chip(sim, skylakeConfig());
+    chip.display().attachPanel(0, io::PanelConfig{});
+    workloads::ProfileAgent agent(workloads::streamMicro());
+    chip.setWorkload(&agent);
+    EXPECT_EQ(chip.pmu().counterAverage()[Counter::LlcStalls], 0.0);
+
+    chip.run(100 * kTicksPerMs);
+    EXPECT_EQ(chip.pmu().evaluations(), 3u);
+    EXPECT_GT(chip.pmu().counterAverage()[Counter::LlcStalls], 0.0);
+
+    // Installing a governor stops (and clears) the collection.
+    core::FixedGovernor gov;
+    chip.pmu().setGovernor(&gov);
+    chip.run(60 * kTicksPerMs);
+    EXPECT_EQ(chip.pmu().counterAverage()[Counter::LlcStalls], 0.0);
 }
 
 TEST(Soc, BootsAtHighPointWithBudget)
@@ -265,8 +285,7 @@ TEST(Soc, DeterministicAcrossIdenticalRuns)
         workloads::ProfileAgent agent(workloads::streamMicro());
         chip.setWorkload(&agent);
         core::SysScaleGovernor gov;
-        core::GovernorHost host(gov);
-        chip.pmu().setPolicy(&host);
+        chip.pmu().setGovernor(&gov);
         return chip.run(300 * kTicksPerMs);
     };
 
@@ -285,8 +304,7 @@ TEST(Soc, PowerStaysWithinTdpEnvelope)
     workloads::ProfileAgent agent(workloads::streamMicro());
     chip.setWorkload(&agent);
     core::FixedGovernor gov;
-    core::GovernorHost host(gov);
-    chip.pmu().setPolicy(&host);
+    chip.pmu().setGovernor(&gov);
     chip.run(500 * kTicksPerMs); // let the reactive cap converge
     const RunMetrics m = chip.run(500 * kTicksPerMs);
     // Average power respects TDP plus the unmanaged platform floor.

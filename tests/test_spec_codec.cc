@@ -258,16 +258,17 @@ TEST(SpecCodec, SerializableOnlyWithoutRuntimeHooks)
 
     exp::ExperimentSpec factory = spec;
     factory.governorFactory = [] {
-        return std::unique_ptr<soc::PmuPolicy>(new core::GovernorHost(
-            std::make_unique<core::FixedGovernor>()));
+        return std::unique_ptr<core::Governor>(
+            std::make_unique<core::FixedGovernor>());
     };
     EXPECT_FALSE(exp::isSerializableSpec(factory));
 
-    core::FixedGovernor gov;
-    core::GovernorHost host(gov);
-    exp::ExperimentSpec borrowed = spec;
-    borrowed.borrowedPolicy = &host;
-    EXPECT_FALSE(exp::isSerializableSpec(borrowed));
+    // A factory that builds no governor (collect) is still a hook.
+    exp::ExperimentSpec collect = spec;
+    collect.governorFactory = [] {
+        return std::unique_ptr<core::Governor>();
+    };
+    EXPECT_FALSE(exp::isSerializableSpec(collect));
 }
 
 TEST(SpecCodec, RejectsMalformedDocuments)

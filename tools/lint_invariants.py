@@ -35,7 +35,7 @@ unit-suffix
 
 governor-soc-mutation
     Governor *policy* files (src/core/governor* minus the
-    governor.{cc,hh} host and governor_driver.{cc,hh} mechanics)
+    governor.hh interface and governor_driver.{cc,hh} mechanics)
     never mutate the SoC directly: no ``soc.setX(...)`` /
     ``soc.cpu().setX(...)`` calls, no hand-rolled flow
     ``execute()``.  Every grant goes through the GovernorDriver
@@ -321,7 +321,7 @@ def check_unit_suffix(path, lines, findings):
 # decide, the GovernorDriver applies.  Mechanics files are exempt —
 # they ARE the layer that touches the SoC.
 GOVERNOR_MECHANICS_FILES = (
-    "src/core/governor.cc", "src/core/governor.hh",
+    "src/core/governor.hh",
     "src/core/governor_driver.cc", "src/core/governor_driver.hh",
 )
 # The receiver directly preceding a flagged call: `soc.setX(` gives
